@@ -160,7 +160,7 @@ def run_quest_batch(
     cache = None
     if config.cache:
         cache = PoolCache(
-            config.store_dir or config.cache_dir,
+            config.store_dir,
             fault_injector=fault_injector,
             max_entries=config.cache_max_entries,
             namespace=config.namespace,

@@ -146,13 +146,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         help="disable reuse of synthesis results across identical blocks",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="directory for the persistent block-synthesis cache "
-        "(default: in-memory only)",
-    )
-    parser.add_argument(
         "--cache-max-entries",
         type=_positive_int,
         default=None,
@@ -161,12 +154,13 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--store-dir",
+        "--cache-dir",
         type=Path,
         default=None,
-        help="root of the sharded multi-tenant artifact store "
-        "(supersedes --cache-dir when both are given); several "
-        "runs/daemon replicas may share one store root and reuse each "
-        "other's published synthesis results",
+        help="root of the sharded multi-tenant artifact store, the "
+        "persistent block-synthesis cache tier (default: in-memory "
+        "only); several runs/daemon replicas may share one store root "
+        "and reuse each other's published synthesis results",
     )
     parser.add_argument(
         "--namespace",
@@ -381,17 +375,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="disable the shared block-synthesis cache",
     )
     parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="persistent disk tier of the shared cache",
-    )
-    parser.add_argument(
         "--cache-max-entries", type=_positive_int, default=None,
         help="LRU bound on the disk tier, per namespace",
     )
     parser.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="sharded artifact-store root shared by daemon replicas; "
-        "takes precedence over --cache-dir",
+        "--store-dir", "--cache-dir", type=Path, default=None,
+        help="sharded artifact-store root (the shared cache's disk "
+        "tier), shareable by daemon replicas",
     )
     parser.add_argument(
         "--namespace", default="default",
@@ -543,7 +533,6 @@ def _serve_main(argv: list[str]) -> int:
         block_time_budget=args.time_budget,
         workers=args.workers,
         cache=not args.no_cache,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
@@ -840,7 +829,6 @@ def _config_from_args(args) -> QuestConfig:
         block_time_budget=args.time_budget,
         workers=args.workers,
         cache=not args.no_cache,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
@@ -867,15 +855,12 @@ def _compile_preflight(args, logger) -> int:
     except StoreError as exc:
         logger.error(f"error: --namespace: {exc}")
         return 2
-    for flag, directory in (
-        ("cache", args.cache_dir), ("store", args.store_dir)
-    ):
-        if directory is not None and not args.no_cache:
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                logger.error(f"error: {flag} dir {directory}: {exc}")
-                return 2
+    if args.store_dir is not None and not args.no_cache:
+        try:
+            args.store_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            logger.error(f"error: store dir {args.store_dir}: {exc}")
+            return 2
     if args.resume and args.checkpoint_dir is None:
         logger.error("error: --resume requires --checkpoint-dir")
         return 2

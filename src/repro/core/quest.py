@@ -36,10 +36,7 @@ from repro.observability import (
     use_tracer,
 )
 from repro.parallel.cache import PoolCache
-from repro.parallel.executor import (
-    BlockSynthesisExecutor,
-    synthesize_block_pool,
-)
+from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
 from repro.resilience.journal import RunJournal, quest_fingerprint
@@ -83,17 +80,15 @@ class QuestConfig:
     workers: int = 1
     #: Reuse synthesis results across identical blocks within a run.
     cache: bool = True
-    #: Directory for the persistent cross-run cache tier (None = memory only;
-    #: ignored when ``cache`` is False).
-    cache_dir: str | None = None
     #: Size bound on the disk cache tier (entries, LRU-evicted by mtime;
-    #: None = unbounded).  Only meaningful with ``cache_dir``/``store_dir``;
-    #: applied per namespace.
+    #: None = unbounded).  Only meaningful with ``store_dir``; applied
+    #: per namespace.
     cache_max_entries: int | None = None
     #: Root of the sharded multi-tenant artifact store
-    #: (:class:`repro.store.ArtifactStore`).  Takes precedence over
-    #: ``cache_dir`` when both are set; several daemon replicas may
-    #: point at one store root and share published synthesis results.
+    #: (:class:`repro.store.ArtifactStore`), the cache's persistent
+    #: cross-run tier (None = memory only; ignored when ``cache`` is
+    #: False).  Several daemon replicas may point at one store root and
+    #: share published synthesis results.
     store_dir: str | None = None
     #: Tenant namespace inside the artifact store; entries of different
     #: namespaces never mix even when their content keys collide.
@@ -388,13 +383,6 @@ class QuestResult:
         return averaged
 
 
-def _synthesize_block(
-    block: CircuitBlock, config: QuestConfig, seed: int
-) -> BlockPool:
-    """Inline single-block synthesis (kept as the historical entry point)."""
-    return synthesize_block_pool(block, config, seed)
-
-
 def _draw_block_seeds(
     rng: np.random.Generator, num_blocks: int
 ) -> list[int]:
@@ -523,7 +511,7 @@ def _run_pipeline(
             cache = getattr(shared, "cache", None)
             if cache is None:
                 cache = PoolCache(
-                    config.store_dir or config.cache_dir,
+                    config.store_dir,
                     fault_injector=fault_injector,
                     max_entries=config.cache_max_entries,
                     namespace=config.namespace,

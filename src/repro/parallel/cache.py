@@ -17,36 +17,37 @@ synthesis produced, addressed by content:
   stored entry must too; the executor canonicalizes seeds per content key
   (first occurrence wins) so that repeats within a run share an entry.
 
-Entries live in memory for the duration of a run and, when a store (or
-``cache_dir``) is given, in the sharded multi-tenant
+Entries live in memory for the duration of a run and, when a
+``store_dir`` is given, in the sharded multi-tenant
 :class:`~repro.store.ArtifactStore` — one file per entry under
-``<root>/<namespace>/<shard>/<key>.qpool``.  Disk entries are a pickled
-envelope carrying a format version, the key, and a SHA-256 checksum of
-the payload; anything that fails to load, fails the checksum, or carries
-the wrong version/key is treated as a miss and recomputed — a corrupt or
-partially-written file can cost time, never correctness.  The store
-owns all cross-process concerns (atomic publish with writer-unique temp
-files, crash-orphan sweeps, per-namespace LRU quotas with an mtime
-grace window), so N daemon replicas can share one store root and dedupe
-synthesis across replicas.
+``<root>/<namespace>/<shard>/<key>.qpool``.  Disk entries are
+:mod:`repro.store.record` records of kind ``pool``: a stale record (an
+older format version) is a plain miss, and anything else that fails to
+decode — truncation, garbage, checksum or key mismatch, a payload that
+is not a solution list — is a *counted* miss and recomputed, so a
+corrupt or partially-written file can cost time, never correctness.
+The store owns all cross-process concerns (atomic publish with
+writer-unique temp files, crash-orphan sweeps, per-namespace LRU quotas
+with an mtime grace window), so N daemon replicas can share one store
+root and dedupe synthesis across replicas.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
-from pathlib import Path
 
 import numpy as np
 
 from repro.observability import get_metrics, get_tracer
 from repro.store import DEFAULT_NAMESPACE, ArtifactStore
-from repro.synthesis.leap import SynthesisSolution
-
-#: Bump when the entry payload layout changes; old files become misses.
-CACHE_VERSION = 1
+from repro.store.record import RecordError, decode_record, encode_record
+from repro.synthesis.solution import (
+    SynthesisSolution,
+    decode_solutions,
+    encode_solutions,
+)
 
 #: Decimal places kept when canonicalizing a unitary for hashing.  Two
 #: unitaries closer than ~1e-8 element-wise hash identically, which is far
@@ -105,32 +106,20 @@ class PoolCache:
 
     def __init__(
         self,
-        cache_dir: str | os.PathLike | None = None,
+        store_dir: str | os.PathLike | None = None,
         fault_injector=None,
         max_entries: int | None = None,
         *,
         namespace: str = DEFAULT_NAMESPACE,
-        store: ArtifactStore | None = None,
-        grace_seconds: float | None = None,
     ) -> None:
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either cache_dir or store, not both")
-        if store is None and max_entries is not None and max_entries < 1:
+        if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._memory: dict[str, list[SynthesisSolution]] = {}
-        #: The sharded disk tier (None = memory only).  Either adopted
-        #: from the caller (service replicas share per-tenant stores) or
-        #: built over ``cache_dir``.
-        self.store = store
-        if store is None and cache_dir is not None:
-            kwargs = {}
-            if grace_seconds is not None:
-                kwargs["grace_seconds"] = grace_seconds
+        #: The sharded disk tier over ``store_dir`` (None = memory only).
+        self.store = None
+        if store_dir is not None:
             self.store = ArtifactStore(
-                cache_dir,
-                namespace=namespace,
-                max_entries=max_entries,
-                **kwargs,
+                store_dir, namespace=namespace, max_entries=max_entries
             )
         # Several executors may share one cache in batch/service mode;
         # the lock covers the memory dict and every counter.
@@ -145,22 +134,6 @@ class PoolCache:
         #: Optional :class:`repro.resilience.faults.FaultInjector` whose
         #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
         self.fault_injector = fault_injector
-
-    @property
-    def cache_dir(self) -> Path | None:
-        """The on-disk tier's root directory (None = memory only)."""
-        return None if self.store is None else self.store.root
-
-    @property
-    def namespace(self) -> str:
-        """The tenant namespace of the disk tier (default namespace
-        when the cache is memory only)."""
-        return DEFAULT_NAMESPACE if self.store is None else self.store.namespace
-
-    @property
-    def max_entries(self) -> int | None:
-        """Disk-tier entry quota (None = unbounded or memory only)."""
-        return None if self.store is None else self.store.max_entries
 
     @property
     def evictions(self) -> int:
@@ -202,17 +175,10 @@ class PoolCache:
     # Disk tier
     # ------------------------------------------------------------------
     def _store_disk(self, key: str, solutions: list[SynthesisSolution]) -> None:
-        payload = pickle.dumps(list(solutions), protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-        # The store owns atomicity (writer-unique temp file + rename)
-        # and quota eviction; False means the disk tier is best-effort
-        # unavailable and the in-memory entry still serves this run.
+        blob = encode_record("pool", key, encode_solutions(solutions))
+        # The store owns atomicity and quota eviction; False means the
+        # disk tier is best-effort unavailable and the in-memory entry
+        # still serves this run.
         if not self.store.publish(key, blob):
             return
         if self.fault_injector is not None:
@@ -223,45 +189,21 @@ class PoolCache:
         if raw is None:
             return None  # Missing (or unreadable) file: a plain miss.
         try:
-            envelope = pickle.loads(raw)
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not a dict")
-            if envelope.get("version") != CACHE_VERSION:
-                # Stale format from an older build: a miss, not corruption.
-                return None
-            if envelope.get("key") != key:
-                raise ValueError("entry key mismatch")
-            payload = envelope["payload"]
-            if hashlib.sha256(payload).hexdigest() != envelope["checksum"]:
-                raise ValueError("payload checksum mismatch")
-            solutions = pickle.loads(payload)
-            if not isinstance(solutions, list) or not all(
-                isinstance(s, SynthesisSolution) for s in solutions
-            ):
-                raise ValueError("payload is not a SynthesisSolution list")
-        except (
-            # Everything a truncated, garbled, or bit-flipped pickle can
-            # raise while loading — deliberately *not* a bare Exception,
-            # so programming errors (and MemoryError etc.) still surface.
-            pickle.UnpicklingError,
-            EOFError,
-            ValueError,
-            TypeError,
-            KeyError,
-            AttributeError,
-            ImportError,
-            IndexError,
-        ):
-            # Corrupt entry: count it (under the lock — batch/service
-            # substrates probe one cache from many threads) and
-            # recompute.  The next put() overwrites the bad file.
-            with self._lock:
-                self.corrupt_entries += 1
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event("cache.corrupt_entry", key=key)
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("cache.corrupt_entries")
-            return None
-        return solutions
+            return decode_record(
+                raw, kind="pool", key=key, parse=decode_solutions
+            )
+        except RecordError as exc:
+            if exc.stale:
+                return None  # Older format: a miss, not corruption.
+        # Corrupt entry: count it (under the lock — batch/service
+        # substrates probe one cache from many threads) and recompute.
+        # The next put() overwrites the bad file.
+        with self._lock:
+            self.corrupt_entries += 1
+        tracer = get_tracer()
+        if tracer.is_enabled:
+            tracer.event("cache.corrupt_entry", key=key)
+        metrics = get_metrics()
+        if metrics.is_enabled:
+            metrics.inc("cache.corrupt_entries")
+        return None

@@ -30,9 +30,9 @@ any downgrade.  Candidate sets from workers, the cache, or a checkpoint
 are health-checked via :mod:`repro.resilience.validation` and
 quarantined on failure; every failure lands in a structured
 :class:`~repro.resilience.retry.FailureRecord` log.  With a
-:class:`~repro.resilience.journal.RunJournal`, completed pools are
-journaled atomically as they finish, and journaled blocks are skipped on
-resume.
+:class:`~repro.resilience.journal.RunJournal`, each block's solution
+list is journaled durably as its job lands, and journaled blocks skip
+synthesis on resume.
 
 **Graceful degradation.**  Only when every attempt is exhausted does a
 block downgrade to the exact-block singleton pool — the distance-zero
@@ -94,7 +94,7 @@ from repro.resilience.retry import (
     RetryLog,
     RetryPolicy,
 )
-from repro.resilience.validation import validate_pool, validate_solutions
+from repro.resilience.validation import validate_solutions
 from repro.synthesis.leap import LeapConfig, SynthesisSolution, synthesize
 
 
@@ -337,7 +337,7 @@ class BlockSynthesisExecutor:
     journal:
         Optional :class:`~repro.resilience.journal.RunJournal`.  Blocks
         already journaled (and healthy) are restored without synthesis;
-        freshly completed pools are journaled as they finish.
+        freshly resolved solution lists are journaled as jobs land.
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
@@ -442,16 +442,58 @@ class BlockSynthesisExecutor:
             self.cache.corrupt_entries if self.cache is not None else 0
         )
 
-        # Phase 1: plan. Canonicalize seeds per content key; restore
-        # journaled blocks; decide, per entry key, whether a synthesis
-        # job is needed.
+        def admit(source, index, key, block, solutions) -> bool:
+            """Serve block ``index`` from a ``"journal"`` or ``"disk"`` entry.
+
+            Both cross a trust boundary: the entry must exist and pass
+            validation, and a failing one is logged (a journal entry is
+            also quarantined) so the block falls through to the next
+            source.  Returns whether the block was served.
+            """
+            if solutions is None:
+                return False
+            if self.validate:
+                try:
+                    validate_solutions(
+                        block.unitary(),
+                        solutions,
+                        independent=self.independent_validation,
+                    )
+                except ValidationError as exc:
+                    if source == "journal":
+                        _note_failure(
+                            log, index, 0, FAILURE_CHECKPOINT, str(exc)
+                        )
+                        self.journal.discard(index)
+                    else:
+                        _note_failure(
+                            log, index, 0, FAILURE_VALIDATION,
+                            f"cache entry quarantined: {exc}",
+                        )
+                    return False
+            resolved[key] = solutions
+            if source == "journal":
+                stats.checkpoint_hits += 1
+                event, fields = "checkpoint.hit", {}
+            else:
+                stats.cache_hits += 1
+                event, fields = "cache.hit", {"source": "disk"}
+            if tracer.is_enabled:
+                tracer.event(event, block=index, **fields)
+            if metrics.is_enabled:
+                metrics.inc(event)
+            return True
+
+        # Phase 1: plan. Canonicalize seeds per content key, then serve
+        # each block from the first source holding its entry key — the
+        # run journal, this run, the cache — or queue a synthesis job.
         plans: list[_BlockPlan] = []
         canonical_seed: dict[str, int] = {}
         resolved: dict[str, list[SynthesisSolution]] = {}
         resolved_unitaries: dict[str, list] = {}
         resolved_attempt: dict[str, int] = {}
         jobs: dict[str, tuple[int, CircuitBlock, int]] = {}
-        pools_by_index: dict[int, BlockPool] = {}
+        journaled: set[int] = set()  # block indices the journal holds
         for index, (block, seed) in enumerate(zip(blocks, seeds)):
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
                 plans.append(_BlockPlan(trivial=True))
@@ -463,95 +505,45 @@ class BlockSynthesisExecutor:
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
             plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
-            if self.journal is not None:
-                pool = self.journal.load_pool(index, key)
-                if pool is not None and self.validate:
-                    try:
-                        validate_pool(
-                            pool, independent=self.independent_validation
-                        )
-                    except ValidationError as exc:
-                        _note_failure(
-                            log, index, 0, FAILURE_CHECKPOINT, str(exc)
-                        )
-                        self.journal.discard(index)
-                        pool = None
-                if pool is not None:
-                    pools_by_index[index] = pool
-                    stats.checkpoint_hits += 1
-                    if tracer.is_enabled:
-                        tracer.event("checkpoint.hit", block=index)
-                    if metrics.is_enabled:
-                        metrics.inc("checkpoint.hit")
-                    continue
-            if self.cache is not None:
-                if key in resolved or key in jobs:
-                    stats.cache_hits += 1  # within-run repeat
-                    if tracer.is_enabled:
-                        tracer.event("cache.hit", block=index, source="run")
-                    if metrics.is_enabled:
-                        metrics.inc("cache.hit")
-                    continue
-                cached = self.cache.get(key)
-                if cached is not None and self.validate:
-                    try:
-                        validate_solutions(
-                            block.unitary(),
-                            cached,
-                            independent=self.independent_validation,
-                        )
-                    except ValidationError as exc:
-                        _note_failure(
-                            log,
-                            index,
-                            0,
-                            FAILURE_VALIDATION,
-                            f"cache entry quarantined: {exc}",
-                        )
-                        cached = None
-                if cached is not None:
-                    resolved[key] = cached
-                    resolved_attempt[key] = 0
+            if self.journal is not None and admit(
+                "journal", index, key, block, self.journal.load_pool(index, key)
+            ):
+                journaled.add(index)
+                continue
+            if key in resolved or key in jobs:
+                # Within-run repeat: the canonical seed makes its result
+                # identical to the first occurrence's, so it joins that
+                # (counted as a cache hit, or a dedup join cache-off).
+                if self.cache is not None:
                     stats.cache_hits += 1
-                    if tracer.is_enabled:
-                        tracer.event("cache.hit", block=index, source="disk")
-                    if metrics.is_enabled:
-                        metrics.inc("cache.hit")
-                    continue
-                jobs[key] = (index, block, seed)
-            else:
-                # Cache disabled: within-run repeats still dedup to one
-                # job (the canonical seed makes their results identical
-                # anyway); nothing is persisted.
-                if key in jobs:
+                    event, metric = "cache.hit", "cache.hit"
+                else:
                     stats.dedup_joins += 1
-                    if tracer.is_enabled:
-                        tracer.event("dedup.hit", block=index, source="run")
-                    if metrics.is_enabled:
-                        metrics.inc("dedup.hits")
-                    continue
-                jobs[key] = (index, block, seed)
+                    event, metric = "dedup.hit", "dedup.hits"
+                if tracer.is_enabled:
+                    tracer.event(event, block=index, source="run")
+                if metrics.is_enabled:
+                    metrics.inc(metric)
+                continue
+            if self.cache is not None and admit(
+                "disk", index, key, block, self.cache.get(key)
+            ):
+                continue
+            jobs[key] = (index, block, seed)
             stats.cache_misses += 1
             if metrics.is_enabled:
                 metrics.inc("cache.miss")
 
-        def finalize(job_key: str) -> None:
-            """Assemble + journal every block the resolved job serves.
+        def journal_blocks(job_key: str) -> None:
+            """Journal every block the landed job serves.
 
-            Called as each job completes (journal mode only), so a crash
-            mid-run loses at most the blocks still in flight.
+            Called as each job lands, so a crash mid-run loses at most
+            the blocks still in flight.
             """
             for index, plan in enumerate(plans):
-                if plan.trivial or index in pools_by_index:
-                    continue
-                if job_key != plan.key:
-                    continue
-                pool = assemble_pool(
-                    blocks[index], resolved[job_key], config, plan.seed,
-                    solution_unitaries=resolved_unitaries.get(job_key),
-                )
-                pools_by_index[index] = pool
-                self.journal.store_pool(index, plan.key, pool)
+                if plan.key == job_key and index not in journaled:
+                    self.journal.store_pool(index, job_key, resolved[job_key])
+                    journaled.add(index)
 
         # Phase 2: execute the synthesis jobs, retrying under the policy.
         failures: dict[str, BaseException] = {}
@@ -634,7 +626,7 @@ class BlockSynthesisExecutor:
                         else:
                             self.inflight.fail(key, claim_token)
                     if self.journal is not None:
-                        finalize(key)
+                        journal_blocks(key)
 
                 def run_round(round_jobs, on_success=on_success, attempt=attempt):
                     if not round_jobs:
@@ -655,7 +647,7 @@ class BlockSynthesisExecutor:
                 if joined:
                     adopted, leftover = self._adopt_joined(
                         joined, policy, resolved, resolved_unitaries,
-                        resolved_attempt, stats, finalize,
+                        resolved_attempt, stats, journal_blocks,
                     )
                     succeeded += adopted
                     # A join that came back empty (owner failed, or its
@@ -672,22 +664,21 @@ class BlockSynthesisExecutor:
                 own_pool.shutdown()
         if self.cache is not None:
             for key, (_, _, seed) in jobs.items():
-                # Only baseline-attempt results (attempt 0's seed and
-                # budget) are interchangeable with an unfaulted run's,
-                # so only those persist under the content-addressed key.
-                if key in resolved and policy.is_baseline_attempt(
-                    seed, resolved_attempt.get(key, 0), base_budget
+                # Only results a job landed here, from a baseline attempt
+                # (attempt 0's seed and budget), are interchangeable with
+                # an unfaulted run's, so only those persist under the
+                # content-addressed key — never a journal restore.
+                if key in resolved_attempt and policy.is_baseline_attempt(
+                    seed, resolved_attempt[key], base_budget
                 ):
                     self.cache.put(key, resolved[key])
 
-        # Phase 3: assemble pools (parent process, block order).
+        # Phase 3: assemble every pool once (parent process, block
+        # order), journaling the blocks no landed job covered.
         pools: list[BlockPool] = []
         for index, (block, plan) in enumerate(zip(blocks, plans)):
             if plan.trivial:
                 pools.append(exact_pool(block))
-                continue
-            if index in pools_by_index:
-                pools.append(pools_by_index[index])
                 continue
             solutions = resolved.get(plan.key)
             if solutions is None:
@@ -724,13 +715,14 @@ class BlockSynthesisExecutor:
                 stats.fallback_blocks.append(index)
                 pools.append(exact_pool(block))
                 continue
-            pool = assemble_pool(
-                block, solutions, config, plan.seed,
-                solution_unitaries=resolved_unitaries.get(plan.key),
+            if self.journal is not None and index not in journaled:
+                self.journal.store_pool(index, plan.key, solutions)
+            pools.append(
+                assemble_pool(
+                    block, solutions, config, plan.seed,
+                    solution_unitaries=resolved_unitaries.get(plan.key),
+                )
             )
-            if self.journal is not None:
-                self.journal.store_pool(index, plan.key, pool)
-            pools.append(pool)
 
         stats.failure_log = log.records
         if self.cache is not None:
@@ -958,7 +950,7 @@ class BlockSynthesisExecutor:
         resolved_unitaries,
         resolved_attempt,
         stats: BlockSynthesisStats,
-        finalize,
+        journal_blocks,
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
         """Adopt results published by other executors' in-flight jobs.
 
@@ -993,7 +985,7 @@ class BlockSynthesisExecutor:
                     metrics.inc("dedup.hits")
                 adopted.append(key)
                 if self.journal is not None:
-                    finalize(key)
+                    journal_blocks(key)
             else:
                 leftover[key] = job
         return adopted, leftover

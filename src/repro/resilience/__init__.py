@@ -6,9 +6,10 @@ process gets OOM-killed — and without this package every one of those
 silently downgraded a block to its distance-zero fallback (or lost the
 run entirely).  Four cooperating pieces close those holes:
 
-* :mod:`~repro.resilience.journal` — checkpoint/resume: atomically
-  persisted per-block pools plus a config-fingerprinted manifest, so a
-  killed run resumes bit-identically instead of restarting.
+* :mod:`~repro.resilience.journal` — checkpoint/resume: durably
+  persisted per-block solution lists plus a config-fingerprinted
+  manifest, so a killed run resumes bit-identically instead of
+  restarting.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: failed blocks
   retry with deterministic per-attempt seeds (same seed first, then
   ``SeedSequence.spawn`` escalation) and optional budget growth before

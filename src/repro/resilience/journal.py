@@ -15,18 +15,22 @@ cost one block, not forty.  :class:`RunJournal` persists, under a
     produce garbage.
 
 ``block_NNNN.qckpt``
-    One file per completed nontrivial block pool: a pickled envelope
-    ``{version, index, key, checksum, payload}``, where ``key`` is the
-    block's content-addressed cache entry key and ``payload`` the
-    pickled :class:`~repro.core.pool.BlockPool`.  Every entry is
-    published atomically — write temp file, flush, ``fsync``, ``rename``
-    — so a crash mid-write leaves either the previous state or a
-    temp file that resume ignores, never a half-entry under the final
-    name.  Entries that fail the checksum (torn write, bit rot) are
-    quarantined (counted, deleted, resynthesized), never trusted.
+    One file per completed nontrivial block: a
+    :mod:`repro.store.record` record of kind ``journal`` keyed by the
+    block index plus the block's content-addressed cache entry key,
+    holding the same :class:`~repro.synthesis.leap.SynthesisSolution`
+    list the pool cache stores for that key.  Every file (manifest
+    included) is published with a durable
+    :func:`~repro.store.record.publish_atomic` — temp file, ``fsync``,
+    rename, directory ``fsync`` — so a crash mid-write leaves either the
+    previous state or a temp file that resume ignores, never a
+    half-entry under the final name.  Entries that fail to decode (torn
+    write, bit rot, another key, an older format) are quarantined
+    (counted, set aside, resynthesized), never trusted.
 
-Resume is bit-identical by construction: pools round-trip through
-pickle exactly, the seed stream is pre-drawn and verified, and blocks
+Resume is bit-identical by construction: solutions round-trip through
+pickle exactly, pools reassemble from them deterministically, the seed
+stream is pre-drawn and verified, and blocks
 not in the journal re-synthesize under the same seeds an uninterrupted
 run would have used.
 """
@@ -36,14 +40,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 
 from repro.exceptions import CheckpointError
 from repro.observability import get_metrics, get_tracer
+from repro.store.record import (
+    RecordError,
+    decode_record,
+    encode_record,
+    publish_atomic,
+    quarantine,
+)
+from repro.synthesis.solution import decode_solutions, encode_solutions
 
 #: Bump when the journal layout changes; old directories refuse to resume.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -80,33 +91,8 @@ def quest_fingerprint(baseline, config) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``path`` via write-temp + fsync + rename."""
-    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
-    # Durability of the rename itself (POSIX): fsync the directory.
-    try:
-        directory_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(directory_fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(directory_fd)
-
-
 class RunJournal:
-    """Atomically journaled per-block pools under a checkpoint dir."""
+    """Durably journaled per-block solution lists under a checkpoint dir."""
 
     def __init__(
         self,
@@ -130,10 +116,6 @@ class RunJournal:
         else:
             self._write_manifest(manifest_path)
 
-    @property
-    def directory(self) -> Path:
-        return self._dir
-
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
@@ -144,7 +126,9 @@ class RunJournal:
             "seeds": self.seeds,
             "num_blocks": len(self.seeds),
         }
-        _atomic_write_bytes(path, json.dumps(manifest, indent=1).encode())
+        publish_atomic(
+            path, json.dumps(manifest, indent=1).encode(), durable=True
+        )
 
     def _check_manifest(self, path: Path, resume: bool) -> None:
         try:
@@ -153,6 +137,14 @@ class RunJournal:
             raise CheckpointError(
                 f"unreadable checkpoint manifest {path}: {exc}"
             ) from exc
+        seeds = manifest.get("seeds") if isinstance(manifest, dict) else None
+        if not isinstance(seeds, list) or not all(
+            isinstance(seed, int) for seed in seeds
+        ):
+            raise CheckpointError(
+                f"unreadable checkpoint manifest {path}: expected an object "
+                "with a list of integer seeds"
+            )
         if not resume:
             raise CheckpointError(
                 f"checkpoint directory {self._dir} already holds a run "
@@ -171,7 +163,7 @@ class RunJournal:
                 "fingerprint does not match this run (different circuit "
                 "or QuestConfig); clear the directory to restart"
             )
-        if [int(s) for s in manifest.get("seeds", [])] != self.seeds:
+        if seeds != self.seeds:
             raise CheckpointError(
                 f"refusing to resume from {self._dir}: recorded seed "
                 "stream does not match this run"
@@ -193,20 +185,13 @@ class RunJournal:
                 continue
         return indices
 
-    def store_pool(self, index: int, key: str, pool) -> None:
-        """Atomically journal ``pool`` as block ``index``'s result."""
-        payload = pickle.dumps(pool, protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
-            "version": JOURNAL_VERSION,
-            "index": int(index),
-            "key": key,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
+    def store_pool(self, index: int, key: str, solutions) -> None:
+        """Durably journal ``solutions`` as block ``index``'s result."""
         path = self._entry_path(index)
-        _atomic_write_bytes(
-            path, pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        record = encode_record(
+            "journal", f"{int(index)}:{key}", encode_solutions(solutions)
         )
+        publish_atomic(path, record, durable=True)
         tracer = get_tracer()
         if tracer.is_enabled:
             tracer.event("checkpoint.store", block=int(index))
@@ -217,54 +202,29 @@ class RunJournal:
             self.fault_injector.on_checkpoint_write(int(index), path)
 
     def load_pool(self, index: int, key: str):
-        """Load block ``index``'s journaled pool, or None.
+        """Block ``index``'s journaled solution list, or None.
 
-        A missing entry is a plain miss.  An entry that exists but fails
-        any integrity check — unpicklable, wrong version/index/key, bad
-        checksum — is *quarantined*: counted in ``corrupt_entries``,
-        deleted so the block re-journals cleanly, and reported as a miss.
+        A missing entry is a plain miss.  An entry that exists but does
+        not decode as this block's record — stale or corrupt alike — is
+        quarantined via :meth:`discard` and reported as a miss.
         """
-        from repro.core.pool import BlockPool
-
-        path = self._entry_path(index)
         try:
-            raw = path.read_bytes()
+            raw = self._entry_path(index).read_bytes()
         except OSError:
             return None
         try:
-            envelope = pickle.loads(raw)
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not a dict")
-            if envelope.get("version") != JOURNAL_VERSION:
-                raise ValueError("journal version mismatch")
-            if envelope.get("index") != int(index):
-                raise ValueError("entry index mismatch")
-            if envelope.get("key") != key:
-                raise ValueError("entry key mismatch")
-            payload = envelope["payload"]
-            if hashlib.sha256(payload).hexdigest() != envelope["checksum"]:
-                raise ValueError("payload checksum mismatch")
-            pool = pickle.loads(payload)
-            if not isinstance(pool, BlockPool):
-                raise ValueError(
-                    f"payload is {type(pool).__name__}, expected BlockPool"
-                )
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            ValueError,
-            TypeError,
-            KeyError,
-            AttributeError,
-            ImportError,
-            IndexError,
-        ):
+            return decode_record(
+                raw,
+                kind="journal",
+                key=f"{int(index)}:{key}",
+                parse=decode_solutions,
+            )
+        except RecordError:
             self.discard(index)
             return None
-        return pool
 
     def discard(self, index: int) -> None:
-        """Quarantine block ``index``'s entry (count + delete)."""
+        """Quarantine block ``index``'s entry (count + set aside)."""
         self.corrupt_entries += 1
         tracer = get_tracer()
         if tracer.is_enabled:
@@ -272,4 +232,4 @@ class RunJournal:
         metrics = get_metrics()
         if metrics.is_enabled:
             metrics.inc("checkpoint.quarantined")
-        self._entry_path(index).unlink(missing_ok=True)
+        quarantine(self._entry_path(index))

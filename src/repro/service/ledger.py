@@ -1,13 +1,15 @@
 """Crash-safe job ledger: the daemon's durable source of truth.
 
-Every admitted job gets one file, ``job-<id>.json``, holding a
-checksummed envelope around the JSON :class:`~repro.service.protocol.
-JobRecord` — the same atomic publish discipline as the run journal
-(:mod:`repro.resilience.journal`): write temp, flush, ``fsync``,
-``rename``, then fsync the directory.  A SIGKILL at any instant leaves
-either the previous record or the new one, never a torn file under the
-final name; an entry that *does* fail its checksum (bit rot, a partial
-copy) is quarantined — counted, renamed aside, ignored — never trusted.
+Every admitted job gets one file, ``job-<id>.json``: a
+:mod:`repro.store.record` record of kind ``job`` keyed by the job id,
+whose payload is the JSON :class:`~repro.service.protocol.JobRecord`.
+Records are published with the same durable
+:func:`~repro.store.record.publish_atomic` as the run journal (temp
+file, ``fsync``, rename, directory ``fsync``), so a SIGKILL at any
+instant leaves either the previous record or the new one, never a torn
+file under the final name; an entry that *does* fail to decode (bit
+rot, a partial copy, an older format) is quarantined — counted,
+renamed aside, ignored — never trusted.
 
 The ledger is what makes the daemon warm-restartable:
 
@@ -24,18 +26,20 @@ The ledger is what makes the daemon warm-restartable:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.observability import get_logger, get_metrics
-from repro.resilience.journal import _atomic_write_bytes
 from repro.service.protocol import JobRecord
-
-#: Bump when the envelope layout changes; old entries are quarantined.
-LEDGER_VERSION = 1
+from repro.store.record import (
+    RecordError,
+    decode_record,
+    encode_record,
+    publish_atomic,
+    quarantine,
+)
 
 _ENTRY_PREFIX = "job-"
 _ENTRY_SUFFIX = ".json"
@@ -78,19 +82,14 @@ class JobLedger:
     # Write path
     # ------------------------------------------------------------------
     def store(self, record: JobRecord) -> None:
-        """Atomically publish ``record`` as its job's current state."""
+        """Durably publish ``record`` as its job's current state."""
         payload = json.dumps(
             record.to_dict(), separators=(",", ":"), sort_keys=True
         ).encode()
-        envelope = {
-            "version": LEDGER_VERSION,
-            "job_id": record.job_id,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "record": payload.decode(),
-        }
-        _atomic_write_bytes(
+        publish_atomic(
             self._entry_path(record.job_id),
-            json.dumps(envelope, indent=1).encode(),
+            encode_record("job", record.job_id, payload),
+            durable=True,
         )
         metrics = get_metrics()
         if metrics.is_enabled:
@@ -100,45 +99,33 @@ class JobLedger:
     # Read path
     # ------------------------------------------------------------------
     def _load_entry(self, path: Path) -> JobRecord | None:
+        job_id = path.name[len(_ENTRY_PREFIX) : -len(_ENTRY_SUFFIX)]
+
+        def parse(payload: bytes) -> JobRecord:
+            record = JobRecord.from_dict(json.loads(payload))
+            if record.job_id != job_id:
+                raise ServiceError(
+                    f"ledger entry {path.name} holds job {record.job_id!r}"
+                )
+            return record
+
         try:
             raw = path.read_bytes()
         except OSError:
             return None
         try:
-            envelope = json.loads(raw)
-            if not isinstance(envelope, dict):
-                raise ServiceError("ledger envelope is not an object")
-            if envelope.get("version") != LEDGER_VERSION:
-                raise ServiceError(
-                    f"ledger version {envelope.get('version')!r} != {LEDGER_VERSION}"
-                )
-            payload = str(envelope.get("record", "")).encode()
-            if hashlib.sha256(payload).hexdigest() != envelope.get("checksum"):
-                raise ServiceError("ledger entry checksum mismatch")
-            record = JobRecord.from_dict(json.loads(payload))
-            expected = path.name[len(_ENTRY_PREFIX) : -len(_ENTRY_SUFFIX)]
-            if record.job_id != expected:
-                raise ServiceError(
-                    f"ledger entry {path.name} holds job {record.job_id!r}"
-                )
-        except (ValueError, ServiceError) as exc:
-            self._quarantine(path, exc)
+            return decode_record(raw, kind="job", key=job_id, parse=parse)
+        except RecordError as exc:
+            # Count + set aside a corrupt entry so restart can proceed.
+            self.corrupt_entries += 1
+            get_logger("service.ledger").warning(
+                f"quarantining corrupt ledger entry {path.name}: {exc}"
+            )
+            metrics = get_metrics()
+            if metrics.is_enabled:
+                metrics.inc("ledger.quarantined")
+            quarantine(path)
             return None
-        return record
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        """Count + set aside a corrupt entry so restart can proceed."""
-        self.corrupt_entries += 1
-        get_logger("service.ledger").warning(
-            f"quarantining corrupt ledger entry {path.name}: {exc}"
-        )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("ledger.quarantined")
-        try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:
-            path.unlink(missing_ok=True)
 
     def load(self, job_id: str) -> JobRecord | None:
         """Load one job's record; None = missing or quarantined."""

@@ -70,7 +70,6 @@ SUBSTRATE_FIELDS = frozenset(
     {
         "workers",
         "cache",
-        "cache_dir",
         "cache_max_entries",
         "store_dir",
         "namespace",

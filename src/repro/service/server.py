@@ -171,7 +171,7 @@ class QuestService:
         # registry for the daemon's lifetime, plus one PoolCache *per
         # tenant namespace*, all rooted in one sharded artifact store
         # that any number of replicas may share.
-        self._store_root = self.config.store_dir or self.config.cache_dir
+        self._store_root = self.config.store_dir
         self._caches: dict[str, PoolCache] = {}
         self._caches_lock = threading.Lock()
         worker_pool = (

@@ -1,4 +1,6 @@
-"""Sharded multi-tenant artifact store (the cache's disk tier)."""
+"""Persistence: the record codec and atomic publish every durable
+artifact uses (:mod:`repro.store.record`), and the sharded multi-tenant
+artifact store (the cache's disk tier)."""
 
 from repro.exceptions import StoreError
 from repro.store.artifact import (

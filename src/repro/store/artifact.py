@@ -24,10 +24,10 @@ arbitrary tenant string.
 deployment, so every mutation tolerates concurrent mutators in other
 processes:
 
-* *Publish* writes to a :func:`tempfile.mkstemp` file inside the target
-  shard (unique per writer — two threads of one process, or two
-  processes, can publish the same key simultaneously without clobbering
-  each other's temp file) and ``os.replace``\\ s it into place, so a
+* *Publish* goes through :func:`repro.store.record.publish_atomic`: a
+  writer-unique temp file inside the target shard (two threads of one
+  process, or two processes, can publish the same key simultaneously
+  without clobbering each other's temp file) renamed into place, so a
   reader only ever observes a complete entry under its final name.
 * *Open* sweeps crash orphans: temp files older than the grace window
   were abandoned by a writer that died mid-publish and are deleted;
@@ -53,13 +53,13 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from repro.exceptions import StoreError
 from repro.observability import get_metrics, get_tracer
+from repro.store.record import TMP_SUFFIX, publish_atomic
 
 #: Namespace used when none is given (solo runs, un-tenanted clients).
 DEFAULT_NAMESPACE = "default"
@@ -74,9 +74,6 @@ DEFAULT_GRACE_SECONDS = 60.0
 
 #: Final-name suffix of a published entry.
 ENTRY_SUFFIX = ".qpool"
-
-#: Suffix of in-flight (not yet renamed) publish temp files.
-TMP_SUFFIX = ".tmp"
 
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -139,7 +136,6 @@ class ArtifactStore:
         namespace: str = DEFAULT_NAMESPACE,
         max_entries: int | None = None,
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
-        sweep_on_open: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -168,17 +164,11 @@ class ArtifactStore:
         #: approximate, and every shard scan re-trues its row.
         self._shard_meta: dict[str, list[float]] = {}
         self._meta_ready = False
-        if sweep_on_open:
-            self.sweep_orphans()
+        self.sweep_orphans()
 
     # ------------------------------------------------------------------
     # Layout
     # ------------------------------------------------------------------
-    @property
-    def directory(self) -> Path:
-        """This namespace's directory (``root/namespace``)."""
-        return self._dir
-
     def path_for(self, key: str) -> Path:
         """The final on-disk path of entry ``key``."""
         return self._dir / shard_of(key) / f"{key}{ENTRY_SUFFIX}"
@@ -226,29 +216,19 @@ class ArtifactStore:
         """Atomically publish ``blob`` as entry ``key``.
 
         Safe against concurrent publishers of the same key in this or
-        any other process: each writer owns a unique temp file and the
-        final ``os.replace`` is atomic, so readers see either the old
-        complete entry or the new complete entry, never a mix.  Returns
+        any other process (:func:`~repro.store.record.publish_atomic`,
+        non-durable: a lost entry only costs a recompute), so readers
+        see either the old complete entry or the new one.  Returns
         False when the disk tier is unavailable (best-effort semantics:
         the caller's in-memory tier still serves the current run).
         """
         shard = shard_of(key)
-        shard_dir = self._dir / shard
-        path = shard_dir / f"{key}{ENTRY_SUFFIX}"
-        tmp = None
+        path = self.path_for(key)
         try:
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=shard_dir, prefix=f".{key[:16]}-", suffix=TMP_SUFFIX
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+            path.parent.mkdir(parents=True, exist_ok=True)
             existed = path.exists()
-            os.replace(tmp, path)
+            publish_atomic(path, blob, durable=False)
         except OSError:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
             return False
         now = time.time()
         with self._lock:

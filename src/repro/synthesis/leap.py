@@ -27,31 +27,7 @@ from repro.synthesis.ansatz import (
     build_leap_ansatz,
 )
 from repro.synthesis.instantiate import instantiate, instantiate_multi
-
-
-@dataclass(frozen=True)
-class SynthesisSolution:
-    """One synthesized circuit for a target unitary.
-
-    Attributes
-    ----------
-    circuit:
-        The concrete circuit (over block-local qubit indices).
-    distance:
-        HS process distance to the target.
-    cnot_count:
-        CNOTs in the circuit (equals the template's layer count).
-    """
-
-    circuit: Circuit
-    distance: float
-    cnot_count: int
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SynthesisSolution(cnots={self.cnot_count}, "
-            f"distance={self.distance:.3e})"
-        )
+from repro.synthesis.solution import SynthesisSolution
 
 
 @dataclass

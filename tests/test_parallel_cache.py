@@ -11,13 +11,13 @@ import pytest
 from repro.circuits import Circuit
 from repro.circuits.random_circuits import random_unitary
 from repro.parallel.cache import (
-    CACHE_VERSION,
     PoolCache,
     canonical_unitary_bytes,
     content_key,
     entry_key,
 )
-from repro.store import ENTRY_SUFFIX, shard_of
+from repro.store import ENTRY_SUFFIX, record, shard_of
+from repro.store.record import decode_record, encode_record
 from repro.synthesis.leap import LeapConfig, SynthesisSolution
 
 
@@ -171,35 +171,37 @@ def test_truncated_disk_entry_is_a_miss(tmp_path):
 
 
 def test_checksum_mismatch_is_a_miss(tmp_path):
-    """A well-formed envelope with a tampered payload is rejected."""
+    """A well-formed record with a tampered payload is rejected."""
     key = entry_key("a" * 64, 5)
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    envelope = pickle.loads(path.read_bytes())
-    envelope["payload"] = envelope["payload"][:-1] + b"\x00"
-    path.write_bytes(pickle.dumps(envelope))
+    raw = path.read_bytes()  # the payload is the record's tail
+    path.write_bytes(raw[:-1] + b"\x00")
     assert PoolCache(tmp_path).get(key) is None
 
 
-def test_wrong_version_or_key_is_a_miss(tmp_path):
+def test_wrong_version_or_key_is_a_miss(tmp_path, monkeypatch):
     key = entry_key("b" * 64, 5)
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    good = pickle.loads(path.read_bytes())
+    good = path.read_bytes()
+    payload = decode_record(good, kind="pool", key=key, parse=bytes)
 
-    stale = dict(good, version=CACHE_VERSION + 1)
-    path.write_bytes(pickle.dumps(stale))
+    with monkeypatch.context() as patch:
+        patch.setattr(record, "RECORD_VERSION", record.RECORD_VERSION + 1)
+        stale = encode_record("pool", key, payload)
+    path.write_bytes(stale)
     assert PoolCache(tmp_path).get(key) is None
 
-    mislabeled = dict(good, key=entry_key("b" * 64, 6))
-    path.write_bytes(pickle.dumps(mislabeled))
+    mislabeled = encode_record("pool", entry_key("b" * 64, 6), payload)
+    path.write_bytes(mislabeled)
     assert PoolCache(tmp_path).get(key) is None
 
-    # The unmodified envelope still loads, proving the rejections above
+    # The unmodified record still loads, proving the rejections above
     # came from the tampering and not the roundtrip itself.
-    path.write_bytes(pickle.dumps(good))
+    path.write_bytes(good)
     assert PoolCache(tmp_path).get(key) is not None
 
 
@@ -209,13 +211,8 @@ def test_payload_type_is_validated(tmp_path):
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    envelope = pickle.loads(path.read_bytes())
-    import hashlib
-
     payload = pickle.dumps(["definitely", "not", "solutions"])
-    envelope["payload"] = payload
-    envelope["checksum"] = hashlib.sha256(payload).hexdigest()
-    path.write_bytes(pickle.dumps(envelope))
+    path.write_bytes(encode_record("pool", key, payload))
     assert PoolCache(tmp_path).get(key) is None
 
 
@@ -330,7 +327,7 @@ def test_bound_survives_across_instances(tmp_path):
     assert bounded.evictions == 3
 
 
-def test_corrupt_entries_counter(tmp_path):
+def test_corrupt_entries_counter(tmp_path, monkeypatch):
     """Integrity failures are *counted*; plain misses are not.
 
     The counter surfaces through the executor's stats as
@@ -349,8 +346,11 @@ def test_corrupt_entries_counter(tmp_path):
     assert fresh.corrupt_entries == 0
 
     # Stale format version: a miss, not corruption.
-    stale = dict(pickle.loads(good), version=CACHE_VERSION + 1)
-    path.write_bytes(pickle.dumps(stale))
+    payload = decode_record(good, kind="pool", key=key, parse=bytes)
+    with monkeypatch.context() as patch:
+        patch.setattr(record, "RECORD_VERSION", record.RECORD_VERSION + 1)
+        stale = encode_record("pool", key, payload)
+    path.write_bytes(stale)
     fresh = PoolCache(tmp_path)
     assert fresh.get(key) is None
     assert fresh.corrupt_entries == 0

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import tfim
-from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import CheckpointError
 from repro.partition.scan import scan_partition
@@ -18,6 +17,8 @@ from repro.resilience.journal import (
     RunJournal,
     quest_fingerprint,
 )
+from repro.store.record import encode_record
+from repro.synthesis.leap import SynthesisSolution
 from repro.transpile.basis import lower_to_basis
 
 FAST = dict(
@@ -38,9 +39,15 @@ def _baseline():
     return lower_to_basis(tfim(4, steps=1).without_measurements())
 
 
-def _pool():
-    blocks = scan_partition(_baseline(), 2)
-    return exact_pool(blocks[0])
+def _solutions():
+    block = scan_partition(_baseline(), 2)[0]
+    return [
+        SynthesisSolution(
+            circuit=block.circuit,
+            distance=0.0,
+            cnot_count=block.circuit.cnot_count(),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +116,17 @@ def test_resume_refuses_an_unknown_journal_version(tmp_path):
 
 def test_resume_refuses_a_garbled_manifest(tmp_path):
     RunJournal(tmp_path, "fp", [1])
-    (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(CheckpointError, match="unreadable checkpoint manifest"):
-        RunJournal(tmp_path, "fp", [1])
+    well_formed = {"version": JOURNAL_VERSION, "fingerprint": "fp", "num_blocks": 1}
+    # Not JSON, then JSON of the wrong shape: each must fail closed.
+    for text in (
+        "{not json",
+        "[]",
+        json.dumps(dict(well_formed, seeds=["x"])),
+        json.dumps(dict(well_formed, seeds=None)),
+    ):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(CheckpointError, match="unreadable checkpoint manifest"):
+            RunJournal(tmp_path, "fp", [1])
 
 
 # ----------------------------------------------------------------------
@@ -119,15 +134,15 @@ def test_resume_refuses_a_garbled_manifest(tmp_path):
 # ----------------------------------------------------------------------
 def test_store_then_load_round_trips_bit_identically(tmp_path):
     journal = RunJournal(tmp_path, "fp", [1])
-    pool = _pool()
-    journal.store_pool(0, "key-0", pool)
+    solutions = _solutions()
+    journal.store_pool(0, "key-0", solutions)
     assert journal.journaled_blocks() == [0]
     loaded = journal.load_pool(0, "key-0")
     assert loaded is not None
-    assert np.array_equal(loaded.original_unitary, pool.original_unitary)
-    assert loaded.cnot_counts().tolist() == pool.cnot_counts().tolist()
-    for a, b in zip(loaded.candidates, pool.candidates):
-        assert np.array_equal(a.unitary, b.unitary)
+    assert [s.cnot_count for s in loaded] == [s.cnot_count for s in solutions]
+    for a, b in zip(loaded, solutions):
+        assert a.distance == b.distance
+        assert np.array_equal(a.circuit.unitary(), b.circuit.unitary())
     assert journal.corrupt_entries == 0
 
 
@@ -139,7 +154,7 @@ def test_missing_entry_is_a_plain_miss(tmp_path):
 
 def test_no_temp_files_survive_a_publish(tmp_path):
     journal = RunJournal(tmp_path, "fp", [1])
-    journal.store_pool(0, "key-0", _pool())
+    journal.store_pool(0, "key-0", _solutions())
     leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
     assert leftovers == []
 
@@ -147,10 +162,10 @@ def test_no_temp_files_survive_a_publish(tmp_path):
 def test_key_mismatch_is_quarantined(tmp_path):
     """An entry journaled under a different cache key must not resume."""
     journal = RunJournal(tmp_path, "fp", [1])
-    journal.store_pool(0, "key-old", _pool())
+    journal.store_pool(0, "key-old", _solutions())
     assert journal.load_pool(0, "key-new") is None
     assert journal.corrupt_entries == 1
-    assert journal.journaled_blocks() == []  # quarantine deletes the file
+    assert journal.journaled_blocks() == []  # quarantine sets the file aside
 
 
 @pytest.mark.parametrize(
@@ -159,7 +174,7 @@ def test_key_mismatch_is_quarantined(tmp_path):
 )
 def test_corrupt_entries_are_quarantined_and_deleted(tmp_path, corruption):
     journal = RunJournal(tmp_path, "fp", [1])
-    journal.store_pool(0, "key-0", _pool())
+    journal.store_pool(0, "key-0", _solutions())
     path = tmp_path / "block_0000.qckpt"
     raw = path.read_bytes()
     if corruption == "truncate":
@@ -172,16 +187,7 @@ def test_corrupt_entries_are_quarantined_and_deleted(tmp_path, corruption):
         path.write_bytes(bytes(flipped))
     else:  # wrong payload type behind a valid checksum
         payload = pickle.dumps({"not": "a pool"})
-        import hashlib
-
-        envelope = {
-            "version": JOURNAL_VERSION,
-            "index": 0,
-            "key": "key-0",
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        path.write_bytes(pickle.dumps(envelope))
+        path.write_bytes(encode_record("journal", "0:key-0", payload))
     assert journal.load_pool(0, "key-0") is None
     assert journal.corrupt_entries == 1
     assert not path.exists()

@@ -8,7 +8,6 @@ the asyncio front end and testable at this granularity.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -259,9 +258,8 @@ def test_ledger_quarantines_corrupt_entries(tmp_path):
     ledger.store(JobRecord(job_id="good", tenant="t", qasm="q"))
     ledger.store(JobRecord(job_id="bad", tenant="t", qasm="q"))
     path = tmp_path / "job-bad.json"
-    envelope = json.loads(path.read_text())
-    envelope["record"] = envelope["record"].replace('"t"', '"x"', 1)
-    path.write_text(json.dumps(envelope))
+    header, _, record = path.read_bytes().partition(b"\n")
+    path.write_bytes(header + b"\n" + record.replace(b'"t"', b'"x"', 1))
     survivors = ledger.load_all()
     assert [r.job_id for r in survivors] == ["good"]
     assert ledger.corrupt_entries == 1
