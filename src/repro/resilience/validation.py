@@ -19,8 +19,8 @@ candidate:
   circuit agrees with the recorded one to ``distance_tol``.
 
 With ``independent=True`` the checks harden into *certification*: each
-candidate's unitary is additionally rebuilt column-by-column through the
-certifier's own contraction path (:mod:`repro.verify.independent`, which
+candidate's unitary is additionally rebuilt through the certifier's own
+contraction path (:mod:`repro.verify.independent`, which
 shares no accumulation code with the recorded artifacts) and must agree
 elementwise with the stored matrix, and the HS distance re-derived along
 that independent path must agree with the recorded one.  The plain
@@ -105,6 +105,12 @@ def validate_candidate_unitary(
         )
     if independent and circuit is not None:
         rebuilt = independent_unitary(circuit)
+        # A NaN disagreement compares False against any tolerance.
+        if not np.all(np.isfinite(rebuilt)):
+            raise ValidationError(
+                f"{label}: independently rebuilt unitary contains "
+                f"non-finite entries"
+            )
         disagreement = float(np.max(np.abs(rebuilt - unitary)))
         if disagreement > INDEPENDENT_AGREEMENT_TOL:
             raise ValidationError(

@@ -8,8 +8,8 @@ Results of the IBM Qiskit Quantum Circuit Compilation Flow*, this
 package re-derives equivalence **from the artifacts alone**, through
 numerics deliberately disjoint from the synthesis path:
 
-* :mod:`repro.verify.independent` — unitaries rebuilt column-by-column
-  by statevector propagation (not the matrix accumulator), the HS
+* :mod:`repro.verify.independent` — unitaries rebuilt by propagating
+  every basis state as one batch (not the matrix accumulator), the HS
   overlap taken as the trace of the explicit matrix product (not the
   elementwise contraction), Haar/computational-basis stimulus probes
   with a confidence-bounded distance estimate for circuits too wide to

@@ -16,6 +16,9 @@ from the artifacts alone:
   the block's local qubits, and its sub-unitary is diffed (via the
   certifier's own contraction path, :mod:`repro.verify.independent`)
   against the matching block of the *original* circuit's partition.
+  The original side (lowering, partition, block unitaries and the
+  whole-circuit unitary) is derived once per original circuit and
+  shared by every approximation certified against it.
   The first block whose span strays outside its claimed qubits or whose
   distance exceeds its epsilon is named in the report.
 * **Whole-circuit check**: exact unitary diff up to
@@ -41,15 +44,18 @@ from repro.metrics.tolerances import (
     CERTIFICATION_SLACK,
     STIMULUS_CONFIDENCE_DELTA,
 )
+from repro.partition.blocks import CircuitBlock
 from repro.partition.scan import scan_partition
 from repro.transpile.basis import lower_to_basis
+from repro.verify import independent
 from repro.verify.independent import (
     DEFAULT_BASIS_STIMULI,
     DEFAULT_HAAR_STIMULI,
     DEFAULT_MAX_EXACT_QUBITS,
     StimulusEvidence,
-    circuit_hs_distance,
+    independent_hs_distance,
     per_state_deviation_cap,
+    require_finite,
     stimulus_evidence,
 )
 
@@ -315,6 +321,44 @@ def claims_from_manifest(data: dict) -> tuple[int, list[BlockClaim]]:
 
 
 # ----------------------------------------------------------------------
+# The original circuit's side, derived once
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Reference:
+    """The original circuit's side of every diff, shared by all members."""
+
+    #: The original circuit without measurements.
+    circuit: Circuit
+    #: Its independently rebuilt unitary; None in the stimulus regime.
+    unitary: np.ndarray | None
+    #: Each block of the lowered original's partition with its
+    #: independently rebuilt unitary; empty without block claims.
+    blocks: tuple[tuple[CircuitBlock, np.ndarray], ...]
+
+
+def _reference(
+    original: Circuit, block_qubits: int | None, max_exact_qubits: int
+) -> _Reference:
+    """Derive the original side; partition only when ``block_qubits`` is set.
+
+    The scan partitioner is deterministic, so re-partitioning the
+    lowered original with the producer's width reproduces the
+    producer's block structure exactly.
+    """
+    stripped = original.without_measurements()
+    unitary = None
+    if stripped.num_qubits <= max_exact_qubits:
+        unitary = independent.independent_unitary(stripped)
+    blocks = ()
+    if block_qubits is not None:
+        blocks = tuple(
+            (block, independent.independent_unitary(block.circuit))
+            for block in scan_partition(lower_to_basis(stripped), block_qubits)
+        )
+    return _Reference(stripped, unitary, blocks)
+
+
+# ----------------------------------------------------------------------
 # Block-localized diagnosis
 # ----------------------------------------------------------------------
 def _ordered_claims(claims: list[BlockClaim]) -> list[BlockClaim]:
@@ -328,29 +372,24 @@ def _ordered_claims(claims: list[BlockClaim]) -> list[BlockClaim]:
 
 
 def _certify_blocks(
-    baseline: Circuit,
+    reference: _Reference,
     approximate: Circuit,
     claims: list[BlockClaim],
-    block_qubits: int,
 ) -> tuple[BlockCertificate, ...]:
     """Slice the stitched circuit along the claims and diff every block.
 
-    The original blocks are re-derived by re-partitioning the lowered
-    original circuit — the scan partitioner is deterministic, so an
-    honest manifest reproduces the producer's block structure exactly.
-    A manifest whose structure disagrees with the re-derived partition
+    A manifest whose structure disagrees with the reference partition
     does not describe these circuits at all and raises
     :class:`CertificationError`; a span that fails inside its block is a
     *finding* and lands in that block's certificate.
     """
     ordered = _ordered_claims(claims)
-    blocks = scan_partition(baseline, block_qubits)
-    if len(blocks) != len(ordered):
+    if len(reference.blocks) != len(ordered):
         raise CertificationError(
             f"claims describe {len(ordered)} blocks but the original "
-            f"circuit partitions into {len(blocks)}"
+            f"circuit partitions into {len(reference.blocks)}"
         )
-    for block, claim in zip(blocks, ordered):
+    for (block, _), claim in zip(reference.blocks, ordered):
         if block.qubits != claim.qubits:
             raise CertificationError(
                 f"claim {claim.index} covers qubits {claim.qubits} but the "
@@ -366,7 +405,7 @@ def _certify_blocks(
 
     certificates = []
     cursor = 0
-    for block, claim in zip(blocks, ordered):
+    for (_, block_unitary), claim in zip(reference.blocks, ordered):
         span = approximate.operations[cursor : cursor + claim.op_count]
         cursor += claim.op_count
         mapping = {q: local for local, q in enumerate(claim.qubits)}
@@ -393,7 +432,9 @@ def _certify_blocks(
             local.append(
                 Operation(op.gate, tuple(mapping[q] for q in op.qubits))
             )
-        measured = circuit_hs_distance(block.circuit, local)
+        measured = independent_hs_distance(
+            block_unitary, independent.independent_unitary(local)
+        )
         ok = measured <= claim.epsilon + CERTIFICATION_SLACK
         certificates.append(
             BlockCertificate(
@@ -444,38 +485,58 @@ def certify_equivalence(
     diff; wider ones get Haar/computational-basis stimulus probes
     (deterministic for a fixed ``rng`` seed).
     """
-    if original.num_qubits != approximate.num_qubits:
+    if claims is not None and block_qubits is None:
         raise CertificationError(
-            f"circuit widths differ: {original.num_qubits} vs "
+            "certifying block claims needs the partition width "
+            "(block_qubits) that produced them"
+        )
+    reference = _reference(
+        original, None if claims is None else block_qubits, max_exact_qubits
+    )
+    probes = dict(
+        haar_stimuli=haar_stimuli, basis_stimuli=basis_stimuli, rng=rng, delta=delta
+    )
+    return _certify(reference, approximate, claims, budget, **probes)
+
+
+def _certify(
+    reference: _Reference,
+    approximate: Circuit,
+    claims: list[BlockClaim] | None,
+    budget: float | None,
+    **probes,
+) -> CertificationReport:
+    """Certify one approximation against a prepared reference.
+
+    Exact when the reference holds the original's unitary, else
+    :func:`stimulus_evidence` called with ``probes``.
+    """
+    num_qubits = reference.circuit.num_qubits
+    if approximate.num_qubits != num_qubits:
+        raise CertificationError(
+            f"circuit widths differ: {num_qubits} vs "
             f"{approximate.num_qubits} qubits"
         )
-    stripped_original = original.without_measurements()
     stripped_approx = approximate.without_measurements()
 
     block_certificates: tuple[BlockCertificate, ...] = ()
     claimed_total = budget
     if claims is not None:
-        if block_qubits is None:
-            raise CertificationError(
-                "certifying block claims needs the partition width "
-                "(block_qubits) that produced them"
-            )
-        baseline = lower_to_basis(stripped_original)
-        block_certificates = _certify_blocks(
-            baseline, stripped_approx, claims, block_qubits
-        )
+        block_certificates = _certify_blocks(reference, stripped_approx, claims)
         if claimed_total is None:
             claimed_total = sum(c.epsilon for c in claims)
     if claimed_total is None:
         raise CertificationError(
             "nothing to certify against: provide claims or a budget"
         )
+    require_finite(claimed_total, "claimed total")
 
     failures: list[str] = []
-    num_qubits = original.num_qubits
-    if num_qubits <= max_exact_qubits:
+    if reference.unitary is not None:
         regime = "exact"
-        measured = circuit_hs_distance(stripped_original, stripped_approx)
+        measured = independent_hs_distance(
+            reference.unitary, independent.independent_unitary(stripped_approx)
+        )
         evidence = None
         if measured > claimed_total + CERTIFICATION_SLACK:
             failures.append(
@@ -486,12 +547,7 @@ def certify_equivalence(
         regime = "stimulus"
         measured = None
         evidence = stimulus_evidence(
-            stripped_original,
-            stripped_approx,
-            haar_stimuli=haar_stimuli,
-            basis_stimuli=basis_stimuli,
-            rng=rng,
-            delta=delta,
+            reference.circuit, stripped_approx, **probes
         )
         if evidence.distance_bound > claimed_total + CERTIFICATION_SLACK:
             failures.append(
@@ -539,11 +595,13 @@ def certify_result(
 
     Claims are rebuilt from the run's pools and choices (the same data
     the stitcher consumed) and each stitched circuit is certified
-    against the run's baseline.  The stimulus RNG is derived from
+    against the run's baseline, whose side of every diff is derived
+    once and shared by all members.  The stimulus RNG is derived from
     ``seed`` and the circuit index through a dedicated
     :class:`~numpy.random.SeedSequence` stream, so certification never
     perturbs — and is never perturbed by — the pipeline's own draws.
     """
+    reference = _reference(result.baseline, block_qubits, max_exact_qubits)
     reports = []
     for index, (choice, circuit) in enumerate(
         zip(result.selection.choices, result.circuits)
@@ -555,12 +613,11 @@ def certify_result(
             )
         )
         reports.append(
-            certify_equivalence(
-                result.baseline,
+            _certify(
+                reference,
                 circuit,
                 claims,
-                block_qubits=block_qubits,
-                max_exact_qubits=max_exact_qubits,
+                None,
                 haar_stimuli=haar_stimuli,
                 basis_stimuli=basis_stimuli,
                 rng=rng,

@@ -4,11 +4,11 @@ Everything here exists to *disagree* with the synthesis path when the
 synthesis path is wrong, so the numerics are deliberately disjoint from
 it:
 
-* :func:`independent_unitary` rebuilds a circuit's unitary column by
-  column through the statevector simulator
-  (:func:`repro.sim.statevector.run_statevector`), never touching the
-  matrix accumulator in :mod:`repro.sim.unitary` that synthesis and
-  validation use.
+* :func:`independent_unitary` rebuilds a circuit's unitary by pushing
+  every basis state through the circuit as rows of one batch
+  (:func:`repro.linalg.embed.apply_gate_to_states`, one call per
+  operation), never touching the matrix accumulator in
+  :mod:`repro.sim.unitary` that synthesis and validation use.
 * :func:`independent_hs_distance` takes the Hilbert-Schmidt overlap as
   the trace of the explicit matrix product ``U^dag V`` instead of
   :func:`repro.linalg.unitary.hs_inner`'s elementwise contraction.
@@ -30,6 +30,11 @@ circuits and derives two sound checks from the state overlaps:
   state satisfies ``1 - |<U psi, V psi>| <= N (1 - sqrt(1 - eps^2))``
   (via the Frobenius bound on the phase-aligned operator difference),
   so any single stimulus breaking the cap refutes the claim outright.
+
+Every value that feeds a verdict is checked for NaN and infinity before
+use (:func:`require_finite`): the distance formulas clamp
+``1 - overlap^2`` at zero to absorb rounding, and that clamp would turn
+a NaN into a distance of 0.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import CertificationError
+from repro.linalg.embed import apply_gate_to_states
 from repro.metrics.tolerances import STIMULUS_CONFIDENCE_DELTA
-from repro.sim.statevector import run_statevector
 
 #: Widths up to this get the exact unitary diff; wider circuits fall to
 #: the random-stimulus regime.  The dense reconstruction is O(4^n) per
@@ -57,39 +62,60 @@ DEFAULT_HAAR_STIMULI = 24
 DEFAULT_BASIS_STIMULI = 8
 
 
-def independent_unitary(circuit: Circuit) -> np.ndarray:
-    """Rebuild a circuit's unitary column-by-column via statevector runs.
+def require_finite(values, operand: str) -> None:
+    """Raise :class:`CertificationError` if ``values`` holds a NaN or inf."""
+    if not np.all(np.isfinite(values)):
+        raise CertificationError(
+            f"NaN or infinity in {operand}; refusing to certify"
+        )
 
-    Column ``k`` is the circuit applied to basis state ``|k>``.  This is
-    the certifier's own contraction path: it shares no code with
-    :func:`repro.sim.unitary.circuit_unitary` beyond the single-gate
-    application kernel, so an accumulation bug in either path surfaces
-    as a disagreement instead of certifying itself.
+
+def _propagate(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+    """Evolve every row of a ``(B, 2^n)`` batch through ``circuit``'s gates."""
+    num_qubits = circuit.num_qubits
+    for op in circuit.operations:
+        if op.name in ("measure", "barrier"):
+            continue
+        states = apply_gate_to_states(
+            states, op.gate.matrix(), op.qubits, num_qubits
+        )
+    return states
+
+
+def independent_unitary(circuit: Circuit) -> np.ndarray:
+    """Rebuild a circuit's unitary by propagating every basis state at once.
+
+    Row ``k`` of the identity is ``|k>``; once propagated it is column
+    ``k`` of the unitary.  This is the certifier's own contraction path:
+    it shares no code with :func:`repro.sim.unitary.circuit_unitary`
+    beyond the single-gate application kernel, so an accumulation bug in
+    either path surfaces as a disagreement instead of certifying itself.
     """
-    stripped = circuit.without_measurements()
-    dim = 2**circuit.num_qubits
-    columns = np.empty((dim, dim), dtype=complex)
-    basis = np.zeros(dim, dtype=complex)
-    for k in range(dim):
-        basis[k] = 1.0
-        columns[:, k] = run_statevector(stripped, basis)
-        basis[k] = 0.0
-    return columns
+    return _propagate(circuit, np.eye(2**circuit.num_qubits, dtype=complex)).T
 
 
 def independent_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized HS overlap ``|Tr(U^dag V)| / N`` via full matrix product."""
+    """Normalized HS overlap ``|Tr(U^dag V)| / N`` via full matrix product.
+
+    Raises :class:`CertificationError` if either operator or the overlap
+    itself is not finite.
+    """
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise CertificationError(
             f"cannot compare operators of shapes {u.shape} and {v.shape}"
         )
+    require_finite(u, "operator U")
+    require_finite(v, "operator V")
     product = u.conj().T @ v
-    return float(abs(np.trace(product))) / u.shape[0]
+    overlap = float(abs(np.trace(product))) / u.shape[0]
+    require_finite(overlap, "HS overlap |Tr(U^dag V)| / N")
+    return overlap
 
 
 def independent_hs_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-canonical HS distance, certifier's own derivation."""
     overlap = independent_overlap(u, v)
+    # The overlap is finite here; the clamp only absorbs rounding past 1.
     return math.sqrt(max(0.0, 1.0 - overlap * overlap))
 
 
@@ -144,12 +170,9 @@ def state_overlaps(
     original: Circuit, approximate: Circuit, states: np.ndarray
 ) -> np.ndarray:
     """``|<U psi_j, V psi_j>|`` for every stimulus row ``psi_j``."""
-    overlaps = np.empty(states.shape[0])
-    for j, state in enumerate(states):
-        evolved_original = run_statevector(original, state)
-        evolved_approx = run_statevector(approximate, state)
-        overlaps[j] = abs(np.vdot(evolved_original, evolved_approx))
-    return overlaps
+    evolved_original = _propagate(original, states)
+    evolved_approx = _propagate(approximate, states)
+    return np.abs(np.einsum("ij,ij->i", evolved_original.conj(), evolved_approx))
 
 
 def per_state_deviation_cap(dim: int, epsilon: float) -> float:
@@ -167,6 +190,7 @@ def per_state_deviation_cap(dim: int, epsilon: float) -> float:
     (the ``N`` factor is real), but it is *sound*: no honest circuit
     pair can break it, so a single stimulus that does refutes the claim.
     """
+    require_finite(epsilon, "claimed epsilon")
     epsilon = min(max(float(epsilon), 0.0), 1.0)
     return dim * (1.0 - math.sqrt(max(0.0, 1.0 - epsilon * epsilon)))
 
@@ -215,13 +239,14 @@ def stimulus_evidence(
     rng = np.random.default_rng(rng)
     num_qubits = original.num_qubits
     dim = 2**num_qubits
-    stripped_original = original.without_measurements()
-    stripped_approx = approximate.without_measurements()
 
     haar = haar_states(num_qubits, haar_stimuli, rng)
-    haar_overlaps = state_overlaps(stripped_original, stripped_approx, haar)
     basis = basis_states(num_qubits, basis_stimuli, rng)
-    basis_overlaps = state_overlaps(stripped_original, stripped_approx, basis)
+    overlaps = state_overlaps(
+        original, approximate, np.concatenate([haar, basis])
+    )
+    require_finite(overlaps, "stimulus overlaps")
+    haar_overlaps, basis_overlaps = np.split(overlaps, [len(haar)])
 
     # Haar identity: E |<psi|W|psi>|^2 = (|Tr W|^2 + N) / (N (N + 1)),
     # so the sample mean m gives |Tr W|^2 / N^2 ~= ((N+1) m - 1) / N.

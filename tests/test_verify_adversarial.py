@@ -12,18 +12,23 @@ the selections themselves.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import qft, tfim
-from repro.circuits import Circuit, circuit_to_qasm, random_circuit
+from repro.circuits import Circuit, circuit_from_qasm, circuit_to_qasm, random_circuit
 from repro.core import QuestConfig, run_quest
+from repro.exceptions import CertificationError
 from repro.metrics.tolerances import CERTIFICATION_SLACK
 from repro.verify import (
     BlockClaim,
     certify_equivalence,
+    certify_result,
+    circuit_hs_distance,
     claims_for_choice,
+    independent_hs_distance,
 )
 
 def _small_config(**overrides) -> QuestConfig:
@@ -206,6 +211,69 @@ def test_understated_epsilon_is_caught_and_localized(quest_run):
     report = _certify(result, stitched, lying)
     assert not report.ok
     assert report.first_failed_block == block
+
+
+# ----------------------------------------------------------------------
+# Defect 6: non-finite values must fail closed, never certify
+# ----------------------------------------------------------------------
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["full", "one_entry"])
+def test_non_finite_operator_entries_are_refused(value, where):
+    # A NaN overlap used to clamp to distance 0.0 and certify.
+    tampered = np.eye(2, dtype=complex)
+    if where == "full":
+        tampered[:] = value
+    else:
+        tampered[1, 1] = value
+    with pytest.raises(CertificationError, match="operator V"):
+        independent_hs_distance(np.eye(2), tampered)
+    with pytest.raises(CertificationError, match="operator U"):
+        independent_hs_distance(tampered, np.eye(2))
+
+
+def _overflowing_rotation() -> Circuit:
+    # ``1e309`` parses to inf, so the rotation's matrix is all NaN.
+    return circuit_from_qasm(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1e309) q[0];\n'
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_rotation_angle_is_refused():
+    with pytest.raises(CertificationError, match="refusing to certify"):
+        circuit_hs_distance(_overflowing_rotation(), Circuit(1))
+    with pytest.raises(CertificationError, match="refusing to certify"):
+        certify_equivalence(Circuit(1), _overflowing_rotation(), budget=1.0)
+    with pytest.raises(CertificationError, match="stimulus overlaps"):
+        certify_equivalence(
+            Circuit(1), _overflowing_rotation(), budget=1.0, max_exact_qubits=0
+        )
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_non_finite_budget_is_refused(value):
+    with pytest.raises(CertificationError, match="claimed total"):
+        certify_equivalence(Circuit(1), Circuit(1), budget=value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certify_result_never_certifies_a_non_finite_member(quest_run):
+    result, stitched, claims = quest_run
+    ops = list(stitched.operations)
+    spans = _spans(claims)
+    block = _block_with_parameterized_op(ops, spans)
+    site = _parameterized_site(ops, spans, block=block)
+    poisoned = SimpleNamespace(
+        baseline=result.baseline,
+        pools=result.pools,
+        selection=SimpleNamespace(choices=result.selection.choices[:1]),
+        circuits=[_nudge(stitched, site, float("inf"))],
+    )
+    with pytest.raises(CertificationError, match="refusing to certify"):
+        certify_result(poisoned, block_qubits=2)
 
 
 # ----------------------------------------------------------------------

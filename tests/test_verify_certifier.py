@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from repro.circuits import Circuit, random_circuit
 from repro.core.pool import Candidate, exact_pool
 from repro.exceptions import CertificationError, ValidationError
 from repro.metrics.tolerances import INDEPENDENT_AGREEMENT_TOL
-from repro.partition.blocks import CircuitBlock
-from repro.resilience.validation import validate_pool
+from repro.partition.blocks import CircuitBlock, stitch_blocks
+from repro.partition.scan import scan_partition
+from repro.resilience.validation import validate_candidate_unitary, validate_pool
 from repro.sim import circuit_unitary
+from repro.transpile.basis import lower_to_basis
 from repro.verify import (
     BlockClaim,
     certify_equivalence,
+    certify_result,
     circuit_hs_distance,
     claims_from_manifest,
     claims_to_manifest,
@@ -48,6 +53,66 @@ def test_independent_hs_distance_rejects_shape_mismatch():
 def test_circuit_hs_distance_rejects_width_mismatch():
     with pytest.raises(CertificationError):
         circuit_hs_distance(Circuit(2), Circuit(3))
+
+
+# ----------------------------------------------------------------------
+# Work counts of the batched path (regression guards, no timing)
+# ----------------------------------------------------------------------
+def _exact_result(circuit: Circuit, members: int) -> SimpleNamespace:
+    """A run-shaped result whose every member is the exact stitched circuit."""
+    baseline = lower_to_basis(circuit)
+    pools = [exact_pool(block) for block in scan_partition(baseline, 2)]
+    stitched = stitch_blocks([pool.block for pool in pools], baseline.num_qubits)
+    return SimpleNamespace(
+        baseline=baseline,
+        pools=pools,
+        selection=SimpleNamespace(choices=[np.zeros(len(pools), int)] * members),
+        circuits=[stitched] * members,
+    )
+
+
+def test_certify_result_derives_the_original_side_once(monkeypatch):
+    import repro.verify.independent as independent
+
+    result = _exact_result(random_circuit(4, 3, rng=2), members=8)
+    rebuilt = []
+    original = independent.independent_unitary
+
+    def counting(circuit):
+        rebuilt.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(independent, "independent_unitary", counting)
+    reports = certify_result(result, block_qubits=2)
+
+    assert len(reports) == 8 and all(report.ok for report in reports)
+    blocks = [pool.block.circuit for pool in result.pools]
+    # Baseline and each original block once, then per member: each
+    # approximate block and the whole approximate circuit.
+    assert len(rebuilt) == 1 + len(blocks) + 8 * (len(blocks) + 1)
+    assert rebuilt[0].operations == result.baseline.operations
+    assert [c.operations for c in rebuilt[1 : 1 + len(blocks)]] == [
+        block.operations for block in blocks
+    ]
+
+
+def test_independent_unitary_applies_each_operation_once(monkeypatch):
+    import repro.verify.independent as independent
+
+    circuit = random_circuit(5, 3, rng=4)
+    gates = len(circuit.operations)
+    circuit.barrier()
+    circuit.measure_all()
+    calls = []
+    original = independent.apply_gate_to_states
+
+    def counting(states, *args):
+        calls.append(states.shape)
+        return original(states, *args)
+
+    monkeypatch.setattr(independent, "apply_gate_to_states", counting)
+    independent_unitary(circuit)
+    assert calls == [(32, 32)] * gates
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +298,25 @@ def test_independent_validation_accepts_honest_pools():
     block_circuit.cx(0, 1)
     block = CircuitBlock(index=0, qubits=(0, 1), circuit=block_circuit)
     validate_pool(exact_pool(block), independent=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_independent_validation_rejects_a_non_finite_rebuild():
+    # A NaN disagreement compares False against the tolerance, so an
+    # overflowing angle used to pass against a finite recorded unitary.
+    pool = exact_pool(CircuitBlock(index=0, qubits=(0,), circuit=Circuit(1)))
+    honest = pool.candidates[0]
+    overflowing = Circuit(1)
+    overflowing.rz(float("1e309"), 0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_candidate_unitary(
+            honest.unitary,
+            pool.original_unitary,
+            honest.distance,
+            label="overflow",
+            circuit=overflowing,
+            independent=True,
+        )
 
 
 def test_tampering_is_above_the_agreement_tolerance():
