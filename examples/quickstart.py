@@ -29,11 +29,11 @@ def main() -> None:
 
     print(f"QUEST result  : {result.summary()}")
     print(
-        "timings       : partition %.2fs, synthesis %.2fs, annealing %.2fs"
+        "timings       : partition %.2fs, synthesis %.2fs, selection %.2fs"
         % (
             result.timings.partition_seconds,
             result.timings.synthesis_seconds,
-            result.timings.annealing_seconds,
+            result.timings.selection_seconds,
         )
     )
     for index, (circ, bound) in enumerate(

@@ -36,7 +36,12 @@ from pathlib import Path
 
 from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, QuestResult, run_quest
-from repro.observability import MetricsRegistry, get_metrics, get_tracer
+from repro.observability import (
+    MetricsRegistry,
+    counter_view,
+    get_metrics,
+    get_tracer,
+)
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 
@@ -61,29 +66,37 @@ class BatchResult:
 
     ``results`` preserves input order regardless of completion order.
     The dedup/pool/shm counters aggregate over every circuit and are
-    what the throughput benchmark asserts on.
+    what the throughput benchmark asserts on; the per-run ones are
+    views over the merged ``metrics`` snapshot.
     """
 
     results: list[QuestResult] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Blocks served by attaching to an existing job instead of
-    #: synthesizing (within-circuit repeats + cross-circuit joins).
-    dedup_joins: int = 0
     #: Subset of ``dedup_joins`` that joined another circuit's
     #: *in-flight* job through the registry.
     inflight_joins: int = 0
-    #: Synthesis jobs actually dispatched, batch-wide.
-    cache_misses: int = 0
-    #: Blocks served from the shared cache (memory or disk tier).
-    cache_hits: int = 0
     #: Persistent-pool accounting (0 when ``workers == 1``).
     pools_created: int = 0
     pool_recycles: int = 0
     pool_reuses: int = 0
-    #: Array bytes that rode shared memory instead of the result pipe.
-    shm_bytes_saved: int = 0
     #: Merged metrics snapshot across every circuit of the batch.
     metrics: dict = field(default_factory=dict)
+
+    dedup_joins = counter_view(
+        "dedup.hits",
+        "Blocks served by attaching to an existing job instead of "
+        "synthesizing (within-circuit repeats + cross-circuit joins).",
+    )
+    cache_misses = counter_view(
+        "cache.miss", "Synthesis jobs actually dispatched, batch-wide."
+    )
+    cache_hits = counter_view(
+        "cache.hit", "Blocks served from the shared cache (memory or disk)."
+    )
+    shm_bytes_saved = counter_view(
+        "shm.bytes_saved",
+        "Array bytes that rode shared memory instead of the result pipe.",
+    )
 
     def summary(self) -> str:
         """One-line human-readable batch summary."""
@@ -206,45 +219,35 @@ def run_quest_batch(
                 worker_pool.shutdown()
     wall = time.perf_counter() - start
 
-    batch = BatchResult(results=results, wall_seconds=wall)
-    merged = MetricsRegistry()
-    for result in results:
-        batch.dedup_joins += result.dedup_joins
-        batch.cache_hits += result.cache_hits
-        batch.cache_misses += result.cache_misses
-        if result.metrics:
-            merged.merge(result.metrics)
-    batch.inflight_joins = resources.inflight.joins
+    batch = BatchResult(
+        results=results,
+        wall_seconds=wall,
+        inflight_joins=resources.inflight.joins,
+    )
     if worker_pool is not None:
         batch.pools_created = worker_pool.pools_created
         batch.pool_recycles = worker_pool.recycles
         batch.pool_reuses = worker_pool.reuses
-    batch.shm_bytes_saved = int(
-        merged.snapshot().get("counters", {}).get("shm.bytes_saved", 0)
-    )
-    # Fold the batch-level aggregates into the merged snapshot so a
-    # ``--metrics-json`` dump is self-contained even when the caller has
-    # no ambient metrics registry installed.
-    merged.merge(
-        {
-            "counters": {
-                "batch.circuits": len(circuits),
-                "batch.dedup_joins": batch.dedup_joins,
-                "batch.inflight_joins": batch.inflight_joins,
-                "batch.shm_bytes_saved": batch.shm_bytes_saved,
-                # Must be 0: a nonzero value means a joiner timed out on
-                # an owner that never published, failed, or released.
-                "registry.stranded_joiners": resources.inflight.stranded_joiners,
-            },
-            "gauges": {"batch.pool_reuses": batch.pool_reuses},
-        }
-    )
+    merged = MetricsRegistry()
+    for result in results:
+        merged.merge(result.metrics)
+    counters = merged.snapshot()["counters"]
+    # The batch-level aggregates land in the merged snapshot, so a
+    # ``--metrics-json`` dump is self-contained, and in the caller's
+    # ambient registry alike.
+    aggregates = {
+        "counters": {
+            "batch.circuits": len(circuits),
+            "batch.dedup_joins": counters.get("dedup.hits", 0),
+            "batch.inflight_joins": batch.inflight_joins,
+            "batch.shm_bytes_saved": counters.get("shm.bytes_saved", 0),
+        },
+        "gauges": {"batch.pool_reuses": batch.pool_reuses},
+    }
+    merged.merge(aggregates)
+    get_metrics().merge(aggregates)
     batch.metrics = merged.snapshot()
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("batch.circuits", len(circuits))
-        metrics.inc("batch.dedup_joins", batch.dedup_joins)
-        metrics.inc("batch.inflight_joins", batch.inflight_joins)
-        metrics.gauge("batch.pool_reuses", batch.pool_reuses)
-        metrics.inc("batch.shm_bytes_saved", batch.shm_bytes_saved)
+    # Exported even when no joiner stranded: a nonzero value means one
+    # timed out on an owner that never published, failed, or released.
+    batch.metrics["counters"].setdefault("registry.stranded_joiners", 0)
     return batch

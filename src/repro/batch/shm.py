@@ -231,17 +231,16 @@ def decode_payload(envelope: ShmEnvelope):
             f"shm payload failed to reconstruct: {exc}"
         ) from exc
     metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("shm.payloads")
-        metrics.inc("shm.bytes_saved", envelope.total_bytes)
+    metrics.inc("shm.payloads")
+    metrics.inc("shm.bytes_saved", envelope.total_bytes)
     return payload
 
 
 def shm_synthesis_task(fn, min_bytes: int, *args) -> ShmEnvelope:
     """Worker-side wrapper: run ``fn`` and envelope its result.
 
-    ``fn`` is any of the executor's synthesis tasks (plain, faulted, or
-    observed) whose first result element is the solution list.  The
+    ``fn`` is the executor's worker task (any callable whose first
+    result element is the solution list).  The
     wrapper additionally *instantiates each solution's unitary in the
     worker* — the matrices pool assembly would otherwise rebuild in the
     driver — and ships ``(result, unitaries)`` through the envelope, so

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit
 
 
 class InflightEntry:
@@ -95,14 +95,7 @@ class InflightRegistry:
                 return None
             entry = held[1]
             self.joins += 1
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("dedup.inflight_joins")
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event(
-                "dedup.join", key=key[:12], resolved=entry.resolved
-            )
+        emit("dedup.join", key=key[:12], resolved=entry.resolved)
         return entry
 
     def publish(self, key: str, owner: object, solutions, unitaries=None) -> None:
@@ -181,10 +174,5 @@ class InflightRegistry:
         if not ok and not entry.event.is_set():
             with self._lock:
                 self.stranded_joiners += 1
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("registry.stranded_joiners")
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event("dedup.stranded", timeout=timeout)
+            emit("dedup.stranded", timeout=timeout)
         return ok

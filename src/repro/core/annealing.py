@@ -133,7 +133,6 @@ def select_approximations(
     )
     run_seeds = seed_seq.spawn(max_samples)
     tracer = get_tracer()
-    metrics = get_metrics()
     result = SelectionResult()
     objective.selected.clear()
     objective.scalar_evaluations = 0
@@ -186,9 +185,9 @@ def select_approximations(
         objective.selected.append(choice)
     result.scalar_evaluations = objective.scalar_evaluations
     result.batched_evaluations = objective.batched_evaluations
-    if metrics.is_enabled:
-        metrics.inc("selection.rounds", result.annealer_runs)
-        metrics.inc("selection.batch_evals", result.batched_evaluations)
-        metrics.inc("selection.scalar_evals", result.scalar_evaluations)
-        metrics.gauge("selection.num_selected", result.num_selected)
+    metrics = get_metrics()
+    metrics.inc("selection.rounds", result.annealer_runs)
+    metrics.inc("selection.batch_evals", result.batched_evaluations)
+    metrics.inc("selection.scalar_evals", result.scalar_evaluations)
+    metrics.gauge("selection.num_selected", result.num_selected)
     return result

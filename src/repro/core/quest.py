@@ -30,6 +30,8 @@ from repro.core.pool import BlockPool
 from repro.exceptions import SelectionError
 from repro.observability import (
     MetricsRegistry,
+    counter_view,
+    emit,
     get_metrics,
     get_tracer,
     use_metrics,
@@ -40,7 +42,7 @@ from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
 from repro.resilience.journal import RunJournal, quest_fingerprint
-from repro.resilience.retry import FailureRecord, RetryPolicy
+from repro.resilience.retry import FailureRecord, RetryPolicy, fallback_blocks
 from repro.transpile.basis import lower_to_basis
 from repro.verify.certifier import CertificationReport, certify_result
 from repro.verify.independent import DEFAULT_MAX_EXACT_QUBITS
@@ -152,7 +154,9 @@ class QuestTimings:
 
     partition_seconds: float = 0.0
     synthesis_seconds: float = 0.0
-    annealing_seconds: float = 0.0
+    #: Wall time of the selection phase (Fig. 12's "annealing" bar; the
+    #: exhaustive batched path can replace the annealer entirely).
+    selection_seconds: float = 0.0
     #: Per-block synthesis seconds measured inside the worker; 0.0 for
     #: trivial blocks and cache hits.  With ``workers > 1`` the entries
     #: overlap in wall time, so their sum can exceed ``synthesis_seconds``.
@@ -169,17 +173,6 @@ class QuestTimings:
     certify_seconds: float = 0.0
 
     @property
-    def selection_seconds(self) -> float:
-        """Wall time of the selection phase (Fig. 12's "annealing" bar).
-
-        Alias for ``annealing_seconds``: since the exhaustive batched
-        path can replace the annealer entirely, "selection" is the
-        accurate name for the phase; the original field is kept for
-        backward compatibility.
-        """
-        return self.annealing_seconds
-
-    @property
     def total_seconds(self) -> float:
         """Total pipeline time.
 
@@ -190,7 +183,7 @@ class QuestTimings:
         return (
             self.partition_seconds
             + self.synthesis_seconds
-            + self.annealing_seconds
+            + self.selection_seconds
         )
 
 
@@ -206,30 +199,13 @@ class QuestResult:
     circuits: list[Circuit] = field(default_factory=list)
     threshold: float = 0.0
     timings: QuestTimings = field(default_factory=QuestTimings)
-    #: Blocks served without a fresh synthesis job (within-run repeats and
-    #: persistent-cache hits) vs. jobs actually synthesized.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Indices of blocks that fell back to their exact singleton pool
-    #: because synthesis failed or exceeded the hard time budget.
-    synthesis_fallbacks: list[int] = field(default_factory=list)
     #: Structured log of every failed synthesis attempt (block index,
     #: attempt, failure kind, exception text); empty on a clean run.
     failure_log: list[FailureRecord] = field(default_factory=list)
-    #: Synthesis attempts beyond each block's first (retry count).
-    retries: int = 0
-    #: Duplicate blocks served by attaching to an existing synthesis job
-    #: (cache-off repeats, and in-flight joins in batch mode).
-    dedup_joins: int = 0
-    #: Blocks restored from the run journal instead of synthesized.
-    checkpoint_hits: int = 0
-    #: Disk cache entries that existed but failed integrity checks.
-    cache_corrupt_entries: int = 0
-    #: Journal entries that existed but failed integrity/health checks.
-    checkpoint_corrupt_entries: int = 0
-    #: Snapshot of the run's metrics registry (counters / gauges /
+    #: Snapshot of this run's own metrics registry (counters / gauges /
     #: histograms; see :mod:`repro.observability.metrics`), dumped by the
-    #: CLI via ``--metrics-json``.
+    #: CLI via ``--metrics-json``.  The counter fields below are views
+    #: over it.
     metrics: dict = field(default_factory=dict)
     #: Independent certification report per selected approximation
     #: (same order as ``circuits``); populated only when
@@ -239,6 +215,41 @@ class QuestResult:
     #: config that produced this result.
     noise_engine: str = "auto"
     array_backend: str | None = None
+
+    cache_hits = counter_view(
+        "cache.hit",
+        "Blocks served without a fresh synthesis job (within-run "
+        "repeats and persistent-cache hits).",
+    )
+    cache_misses = counter_view(
+        "cache.miss", "Synthesis jobs actually dispatched."
+    )
+    retries = counter_view(
+        "retry.attempts", "Synthesis attempts beyond each block's first."
+    )
+    dedup_joins = counter_view(
+        "dedup.hits",
+        "Duplicate blocks served by attaching to an existing synthesis "
+        "job (cache-off repeats, and in-flight joins in batch mode).",
+    )
+    checkpoint_hits = counter_view(
+        "checkpoint.hit",
+        "Blocks restored from the run journal instead of synthesized.",
+    )
+    cache_corrupt_entries = counter_view(
+        "cache.corrupt_entries",
+        "Disk cache entries this run read that failed integrity checks.",
+    )
+    checkpoint_corrupt_entries = counter_view(
+        "checkpoint.quarantined",
+        "Journal entries that failed integrity/health checks.",
+    )
+
+    @property
+    def synthesis_fallbacks(self) -> list[int]:
+        """Indices of blocks that fell back to their exact singleton pool
+        because synthesis failed or exceeded the hard time budget."""
+        return fallback_blocks(self.failure_log)
 
     @property
     def original_cnot_count(self) -> int:
@@ -346,7 +357,6 @@ class QuestResult:
             array_backend = self.array_backend
         rng = np.random.default_rng(rng)
         tracer = get_tracer()
-        metrics = get_metrics()
         start = time.perf_counter()
         with tracer.span(
             "quest.noisy_eval",
@@ -378,8 +388,7 @@ class QuestResult:
                 ]
             averaged = average_distributions(distributions)
         self.timings.noisy_eval_seconds += time.perf_counter() - start
-        if metrics.is_enabled:
-            metrics.inc("noisy_eval.circuits", len(self.circuits))
+        get_metrics().inc("noisy_eval.circuits", len(self.circuits))
         return averaged
 
 
@@ -404,7 +413,6 @@ def run_quest(
     resume: bool = True,
     fault_injector=None,
     tracer=None,
-    metrics=None,
     shared=None,
 ) -> QuestResult:
     """Run the full QUEST pipeline on ``circuit``.
@@ -426,8 +434,10 @@ def run_quest(
     ambient tracer, usually disabled) receives a span per pipeline
     phase plus the inner synthesis/selection events; tracing never
     touches an RNG, so results are bit-identical with it on or off.
-    ``metrics`` (default: a fresh per-run registry) accumulates the run
-    counters snapshotted into ``QuestResult.metrics``.
+    Metrics always accumulate in a fresh per-run registry: its snapshot
+    becomes ``QuestResult.metrics`` (so the result counts only this
+    run), and on exit it is merged into the ambient registry installed
+    with :func:`repro.observability.use_metrics`, if any.
 
     ``shared`` optionally carries batch-scoped resources (duck-typed:
     any object with ``cache`` / ``worker_pool`` / ``inflight``
@@ -439,20 +449,23 @@ def run_quest(
     """
     config = config or QuestConfig()
     tracer = tracer if tracer is not None else get_tracer()
-    if metrics is None:
-        ambient = get_metrics()
-        metrics = ambient if ambient.is_enabled else MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        with tracer.span(
-            "quest.run",
-            qubits=circuit.num_qubits,
-            workers=config.workers,
-        ):
-            result = _run_pipeline(
-                circuit, config, checkpoint_dir, resume, fault_injector,
-                tracer, metrics, shared,
-            )
-    result.metrics = metrics.snapshot()
+    ambient = get_metrics()
+    metrics = MetricsRegistry()
+    try:
+        with use_tracer(tracer), use_metrics(metrics):
+            with tracer.span(
+                "quest.run",
+                qubits=circuit.num_qubits,
+                workers=config.workers,
+            ):
+                result = _run_pipeline(
+                    circuit, config, checkpoint_dir, resume, fault_injector,
+                    tracer, shared,
+                )
+    finally:
+        snapshot = metrics.snapshot()
+        ambient.merge(snapshot)
+    result.metrics = snapshot
     return result
 
 
@@ -463,7 +476,6 @@ def _run_pipeline(
     resume: bool,
     fault_injector,
     tracer,
-    metrics,
     shared=None,
 ) -> QuestResult:
     """The pipeline body; runs under the ambient tracer/metrics pair."""
@@ -490,8 +502,7 @@ def _run_pipeline(
     with tracer.span("quest.partition"):
         result.blocks = scan_partition(baseline, config.max_block_qubits)
     result.timings.partition_seconds = time.perf_counter() - start
-    if metrics.is_enabled:
-        metrics.gauge("partition.blocks", len(result.blocks))
+    get_metrics().gauge("partition.blocks", len(result.blocks))
 
     start = time.perf_counter()
     with tracer.span("quest.synthesis", blocks=len(result.blocks)):
@@ -542,17 +553,7 @@ def _run_pipeline(
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds
         )
-    result.cache_hits = synthesis_stats.cache_hits
-    result.cache_misses = synthesis_stats.cache_misses
-    result.synthesis_fallbacks = synthesis_stats.fallback_blocks
     result.failure_log = synthesis_stats.failure_log
-    result.retries = synthesis_stats.retries
-    result.dedup_joins = synthesis_stats.dedup_joins
-    result.checkpoint_hits = synthesis_stats.checkpoint_hits
-    result.cache_corrupt_entries = synthesis_stats.cache_corrupt_entries
-    result.checkpoint_corrupt_entries = (
-        synthesis_stats.checkpoint_corrupt_entries
-    )
     result.timings.block_synthesis_seconds = synthesis_stats.block_seconds
     result.timings.synthesis_seconds = time.perf_counter() - start
 
@@ -571,7 +572,7 @@ def _run_pipeline(
             maxiter=config.annealing_maxiter,
             seed=int(rng.integers(2**31 - 1)),
         )
-    result.timings.annealing_seconds = time.perf_counter() - start
+    result.timings.selection_seconds = time.perf_counter() - start
 
     with tracer.span("quest.stitch", circuits=result.selection.num_selected):
         for choice in result.selection.choices:
@@ -593,17 +594,14 @@ def _run_pipeline(
                 seed=config.seed,
             )
             for index, report in enumerate(result.certifications):
-                tracer.event(
+                emit(
                     "certify.report",
                     circuit=index,
                     ok=report.ok,
+                    verdict="passed" if report.ok else "failed",
                     regime=report.regime,
                     claimed_total=report.claimed_total,
                     first_failed_block=report.first_failed_block,
                 )
-                if metrics.is_enabled:
-                    metrics.inc(
-                        "certify.passed" if report.ok else "certify.failed"
-                    )
         result.timings.certify_seconds = time.perf_counter() - start
     return result

@@ -240,16 +240,13 @@ class PtmCache:
         return entry
 
     def _lookup(self, key: tuple, build) -> np.ndarray:
-        metrics = get_metrics()
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
-            if metrics.is_enabled:
-                metrics.inc("ptm.compile_cache_hits")
+            get_metrics().inc("ptm.compile_cache_hits")
             return entry
         self.misses += 1
-        if metrics.is_enabled:
-            metrics.inc("ptm.compile_cache_misses")
+        get_metrics().inc("ptm.compile_cache_misses")
         entry = build()
         entry.setflags(write=False)
         self._entries[key] = entry
@@ -558,8 +555,7 @@ def run_ptm_ensemble(
         groups: dict[tuple, list[int]] = {}
         for index, program in enumerate(programs):
             groups.setdefault(program.signature, []).append(index)
-        if metrics.is_enabled:
-            metrics.inc("ptm.ensemble_groups", len(groups))
+        metrics.inc("ptm.ensemble_groups", len(groups))
         initial = _initial_pauli_vector(num_qubits)
         out = np.empty((len(circuits), 2**num_qubits))
         for members in groups.values():
@@ -596,8 +592,7 @@ def run_ptm_ensemble(
                         not shared, xb,
                     )
                 contractions += 1
-            if metrics.is_enabled:
-                metrics.inc("ptm.contractions", contractions)
+            metrics.inc("ptm.contractions", contractions)
             probs = _pauli_to_probabilities(states, num_qubits, batch, xb)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum(axis=1, keepdims=True)

@@ -6,6 +6,8 @@ provides the mechanisms:
 
 * :mod:`repro.observability.trace` — span tracer + JSON-lines sinks;
 * :mod:`repro.observability.metrics` — counters / gauges / histograms;
+* :mod:`repro.observability.events` — :func:`emit`, which writes a trace
+  event and the counters it derives (the ``EVENT_COUNTERS`` table);
 * :mod:`repro.observability.logs` — the ``repro`` logger configuration;
 * :mod:`repro.observability.summary` — trace aggregation for the
   ``python -m repro trace-summary`` subcommand.
@@ -13,14 +15,16 @@ provides the mechanisms:
 Tracing and metrics are ambient (context-variable scoped) so inner
 layers need no signature changes, and both default to no-op
 implementations: an untraced run pays one ``is_enabled`` check per
-would-be record.
+would-be event.
 """
 
+from repro.observability.events import EVENT_COUNTERS, emit
 from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     NullMetrics,
+    counter_view,
     get_metrics,
     use_metrics,
 )
@@ -59,6 +63,9 @@ __all__ = [
     "NULL_METRICS",
     "get_metrics",
     "use_metrics",
+    "counter_view",
+    "emit",
+    "EVENT_COUNTERS",
     "configure_logging",
     "get_logger",
     "TraceSummary",

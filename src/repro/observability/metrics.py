@@ -9,12 +9,15 @@ A :class:`MetricsRegistry` accumulates three shapes of telemetry:
 * **histograms** (``observe``) — streaming summaries (count / sum /
   min / max) of a distribution, e.g. ``synthesis.pool_size``.
 
-:func:`repro.core.quest.run_quest` creates one registry per run (or
-adopts the ambient one installed with :func:`use_metrics`), snapshots it
-into ``QuestResult.metrics``, and the CLI dumps the same snapshot via
-``--metrics-json``.  Worker processes accumulate into their own registry
-and return ``snapshot()`` with the synthesis payload; the parent folds
-it in with :meth:`MetricsRegistry.merge`.
+:func:`repro.core.quest.run_quest` records every run into a fresh
+registry, snapshots it into ``QuestResult.metrics`` (whose counter
+fields are :func:`counter_view` properties over that snapshot), merges
+it into the ambient registry installed with :func:`use_metrics`, if
+any, and the CLI dumps the same snapshot via ``--metrics-json``.
+Worker processes accumulate into their own registry and return
+``snapshot()`` with the synthesis payload; the parent folds it in with
+:meth:`MetricsRegistry.merge`.  Counters derived from trace events grow
+only through :func:`repro.observability.events.emit`.
 
 All mutators take a lock, so threads sharing a registry (the executor's
 callbacks) stay consistent; like the tracer, the registry never touches
@@ -153,3 +156,16 @@ def use_metrics(registry):
         yield _CURRENT_METRICS.get()
     finally:
         _CURRENT_METRICS.reset(token)
+
+
+def counter_view(name: str, doc: str) -> property:
+    """Read-only property over counter ``name`` of ``self.metrics``.
+
+    ``self.metrics`` is a :meth:`MetricsRegistry.snapshot`; a counter
+    the snapshot lacks reads as 0.
+    """
+
+    def read(self) -> int:
+        return int(self.metrics.get("counters", {}).get(name, 0))
+
+    return property(read, doc=doc)

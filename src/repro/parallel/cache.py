@@ -40,7 +40,7 @@ import threading
 
 import numpy as np
 
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit
 from repro.store import DEFAULT_NAMESPACE, ArtifactStore
 from repro.store.record import RecordError, decode_record, encode_record
 from repro.synthesis.solution import (
@@ -98,10 +98,13 @@ def entry_key(content: str, seed: int) -> str:
 class PoolCache:
     """Two-tier (memory + optional sharded store) cache of solutions.
 
-    ``hits``/``misses`` count :meth:`get` probes for the lifetime of the
-    instance; :func:`repro.core.quest.run_quest` creates one instance per
-    run, so the counters it reports are per-run.  The disk tier's own
-    counters (raw loads, publishes, evictions) live on :attr:`store`.
+    ``hits``/``misses``/``corrupt_entries`` count :meth:`get` probes
+    for the lifetime of the *instance*, which a batch or a daemon shares
+    across every run it serves — so they are not per-run facts.  What
+    one run saw is its own metrics registry: a corrupt entry also emits
+    ``cache.corrupt_entry`` into the ambient (per-run) registry of the
+    thread that read it.  The disk tier's own counters (raw loads,
+    publishes, evictions) live on :attr:`store`.
     """
 
     def __init__(
@@ -200,10 +203,5 @@ class PoolCache:
         # The next put() overwrites the bad file.
         with self._lock:
             self.corrupt_entries += 1
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event("cache.corrupt_entry", key=key)
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("cache.corrupt_entries")
+        emit("cache.corrupt_entry", key=key)
         return None

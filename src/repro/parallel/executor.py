@@ -75,6 +75,7 @@ from repro.observability import (
     ListSink,
     MetricsRegistry,
     Tracer,
+    emit,
     get_metrics,
     get_tracer,
     use_metrics,
@@ -93,6 +94,7 @@ from repro.resilience.retry import (
     FailureRecord,
     RetryLog,
     RetryPolicy,
+    fallback_blocks,
 )
 from repro.resilience.validation import validate_solutions
 from repro.synthesis.leap import LeapConfig, SynthesisSolution, synthesize
@@ -155,38 +157,46 @@ def _synthesize_solutions_task(
     return report.solutions, time.perf_counter() - start
 
 
-def _faulted_task(task, injector, index, attempt, block, config, seed):
-    """Worker-side wrapper firing scheduled faults around ``task``."""
-    injector.on_synthesis_start(index, attempt)
-    solutions, elapsed = task(block, config, seed)
-    return injector.corrupt_solutions(index, attempt, solutions), elapsed
-
-
 def _observed_task(task, injector, index, attempt, block, config, seed):
-    """Worker-side wrapper that marshals observability back to the parent.
+    """Worker-side wrapper: fires scheduled faults around ``task`` and
+    marshals observability back to the parent.
 
     A worker process cannot write the parent's trace sink, so it records
     into a local buffer under its own tracer/metrics pair and ships the
     records home with the candidate payload; the parent replays them into
     the real sink (stamped ``origin="worker"``) and folds the metrics
-    snapshot into the run registry.  Only reached when the parent tracer
-    or metrics is enabled, so untraced runs keep the plain task pickle.
+    snapshot into the run registry.  A task that raises ships them on
+    the exception (``exc.observed``), so a failed attempt's events reach
+    the parent too.  Every pool submission ships this wrapper:
+    ``run_quest`` always records into a registry, so there is no
+    unobserved run to optimize for.
     """
     sink = ListSink()
     tracer = Tracer(sink, origin="worker")
     metrics = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        with tracer.span(
-            "synthesis.block", block=index, attempt=attempt, seed=seed
-        ):
-            if injector is not None:
-                injector.on_synthesis_start(index, attempt)
-            solutions, elapsed = task(block, config, seed)
-            if injector is not None:
-                solutions = injector.corrupt_solutions(
-                    index, attempt, solutions
-                )
-    return solutions, elapsed, sink.records, metrics.snapshot()
+    try:
+        with use_tracer(tracer), use_metrics(metrics):
+            with tracer.span(
+                "synthesis.block", block=index, attempt=attempt, seed=seed
+            ):
+                if injector is not None:
+                    injector.on_synthesis_start(index, attempt)
+                solutions, elapsed = task(block, config, seed)
+                if injector is not None:
+                    solutions = injector.corrupt_solutions(
+                        index, attempt, solutions
+                    )
+    except Exception as exc:
+        exc.observed = (sink.records, metrics.snapshot())
+        raise
+    return solutions, elapsed, (sink.records, metrics.snapshot())
+
+
+def _replay_observed(observed) -> None:
+    """Fold a worker's marshalled ``(records, snapshot)`` into the run."""
+    records, snapshot = observed
+    get_tracer().replay(records)
+    get_metrics().merge(snapshot)
 
 
 def _discard_late_envelope(future) -> None:
@@ -210,15 +220,7 @@ def _note_failure(
 ) -> None:
     """Record a failure in the structured log and mirror it as telemetry."""
     log.record(index, attempt, kind, message)
-    tracer = get_tracer()
-    if tracer.is_enabled:
-        tracer.event(
-            "synthesis.failure", block=index, attempt=attempt, kind=kind
-        )
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("synthesis.failures")
-        metrics.inc(f"synthesis.failures.{kind}")
+    emit("synthesis.failure", block=index, attempt=attempt, kind=kind)
 
 
 def assemble_pool(
@@ -251,9 +253,7 @@ def assemble_pool(
             per_count=config.sphere_variants_per_count,
             rng=seed,
         )
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.observe("synthesis.pool_size", pool.size)
+    get_metrics().observe("synthesis.pool_size", pool.size)
     return pool
 
 
@@ -268,37 +268,24 @@ def synthesize_block_pool(block: CircuitBlock, config, seed: int) -> BlockPool:
 
 @dataclass
 class BlockSynthesisStats:
-    """What the executor did, for the run's telemetry.
+    """What the executor did that no counter records.
 
-    ``cache_hits`` counts blocks served without a synthesis job (within-
-    run repeats and disk hits); ``cache_misses`` counts jobs actually
-    dispatched.  Trivial (1-qubit / CNOT-free) blocks count as neither,
-    and neither do blocks restored from a run journal
-    (``checkpoint_hits``).
+    Counts (cache hits and misses, retries, dedup joins, checkpoint
+    hits, corrupt entries) are events emitted into the ambient metrics
+    registry (:func:`repro.observability.emit`); ``run_quest`` reads
+    them back as views over its per-run snapshot.
     """
 
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Indices of blocks downgraded to their exact-block fallback pool.
-    fallback_blocks: list[int] = field(default_factory=list)
     #: Per-block synthesis seconds, measured inside the worker; 0.0 for
     #: trivial blocks and cache/repeat/checkpoint hits.
     block_seconds: list[float] = field(default_factory=list)
-    #: Blocks whose pool was restored from the run journal.
-    checkpoint_hits: int = 0
-    #: Synthesis attempts beyond each block's first, across the run.
-    retries: int = 0
-    #: Duplicate blocks served by attaching to an existing job instead
-    #: of dispatching their own: within-run repeats with the cache
-    #: disabled, plus in-flight joins against a shared
-    #: :class:`~repro.batch.workqueue.InflightRegistry` (batch mode).
-    dedup_joins: int = 0
-    #: Disk cache entries that existed but failed integrity checks.
-    cache_corrupt_entries: int = 0
-    #: Journal entries that existed but failed integrity/health checks.
-    checkpoint_corrupt_entries: int = 0
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
+
+    @property
+    def fallback_blocks(self) -> list[int]:
+        """Indices of blocks downgraded to their exact-block fallback pool."""
+        return fallback_blocks(self.failure_log)
 
 
 @dataclass(frozen=True)
@@ -435,12 +422,7 @@ class BlockSynthesisExecutor:
         policy = self.retry_policy or RetryPolicy(max_attempts=1)
         stats = BlockSynthesisStats(block_seconds=[0.0] * len(blocks))
         log = RetryLog()
-        tracer = get_tracer()
-        metrics = get_metrics()
         base_budget = getattr(config, "block_time_budget", None)
-        cache_corrupt_before = (
-            self.cache.corrupt_entries if self.cache is not None else 0
-        )
 
         def admit(source, index, key, block, solutions) -> bool:
             """Serve block ``index`` from a ``"journal"`` or ``"disk"`` entry.
@@ -473,15 +455,9 @@ class BlockSynthesisExecutor:
                     return False
             resolved[key] = solutions
             if source == "journal":
-                stats.checkpoint_hits += 1
-                event, fields = "checkpoint.hit", {}
+                emit("checkpoint.hit", block=index)
             else:
-                stats.cache_hits += 1
-                event, fields = "cache.hit", {"source": "disk"}
-            if tracer.is_enabled:
-                tracer.event(event, block=index, **fields)
-            if metrics.is_enabled:
-                metrics.inc(event)
+                emit("cache.hit", block=index, source="disk")
             return True
 
         # Phase 1: plan. Canonicalize seeds per content key, then serve
@@ -514,25 +490,18 @@ class BlockSynthesisExecutor:
                 # Within-run repeat: the canonical seed makes its result
                 # identical to the first occurrence's, so it joins that
                 # (counted as a cache hit, or a dedup join cache-off).
-                if self.cache is not None:
-                    stats.cache_hits += 1
-                    event, metric = "cache.hit", "cache.hit"
-                else:
-                    stats.dedup_joins += 1
-                    event, metric = "dedup.hit", "dedup.hits"
-                if tracer.is_enabled:
-                    tracer.event(event, block=index, source="run")
-                if metrics.is_enabled:
-                    metrics.inc(metric)
+                emit(
+                    "cache.hit" if self.cache is not None else "dedup.hit",
+                    block=index,
+                    source="run",
+                )
                 continue
             if self.cache is not None and admit(
                 "disk", index, key, block, self.cache.get(key)
             ):
                 continue
             jobs[key] = (index, block, seed)
-            stats.cache_misses += 1
-            if metrics.is_enabled:
-                metrics.inc("cache.miss")
+            get_metrics().inc("cache.miss")
 
         def journal_blocks(job_key: str) -> None:
             """Journal every block the landed job serves.
@@ -564,30 +533,20 @@ class BlockSynthesisExecutor:
                 if not pending:
                     break
                 if attempt > 0:
-                    stats.retries += len(pending)
-                    if metrics.is_enabled:
-                        metrics.inc("retry.attempts", len(pending))
-                    if tracer.is_enabled:
-                        for pending_key in pending:
-                            tracer.event(
-                                "retry.attempt",
-                                block=pending[pending_key][0],
-                                attempt=attempt,
-                            )
+                    for block_index, _, _ in pending.values():
+                        emit("retry.attempt", block=block_index, attempt=attempt)
                     # Full-jitter backoff before the round re-dispatches
                     # (one delay per round, not per block: the round's
                     # jobs fan out together anyway).  Affects wall time
                     # only; seeds and budgets are untouched.
                     delay = policy.backoff_seconds(attempt, self._backoff_rng)
                     if delay > 0:
-                        if tracer.is_enabled:
-                            tracer.event(
-                                "retry.backoff",
-                                attempt=attempt,
-                                seconds=round(delay, 4),
-                            )
-                        if metrics.is_enabled:
-                            metrics.observe("retry.backoff_seconds", delay)
+                        emit(
+                            "retry.backoff",
+                            attempt=attempt,
+                            seconds=round(delay, 4),
+                        )
+                        get_metrics().observe("retry.backoff_seconds", delay)
                         self._sleep(delay)
 
                 # Split this round into jobs we own (we dispatch them)
@@ -647,7 +606,7 @@ class BlockSynthesisExecutor:
                 if joined:
                     adopted, leftover = self._adopt_joined(
                         joined, policy, resolved, resolved_unitaries,
-                        resolved_attempt, stats, journal_blocks,
+                        resolved_attempt, journal_blocks,
                     )
                     succeeded += adopted
                     # A join that came back empty (owner failed, or its
@@ -704,15 +663,11 @@ class BlockSynthesisExecutor:
                     f"degraded to exact block after {policy.max_attempts} "
                     f"attempt(s): {reason}",
                 )
-                if tracer.is_enabled:
-                    tracer.event(
-                        "executor.fallback",
-                        block=index,
-                        attempts=policy.max_attempts,
-                    )
-                if metrics.is_enabled:
-                    metrics.inc("synthesis.fallbacks")
-                stats.fallback_blocks.append(index)
+                emit(
+                    "executor.fallback",
+                    block=index,
+                    attempts=policy.max_attempts,
+                )
                 pools.append(exact_pool(block))
                 continue
             if self.journal is not None and index not in journaled:
@@ -725,12 +680,6 @@ class BlockSynthesisExecutor:
             )
 
         stats.failure_log = log.records
-        if self.cache is not None:
-            stats.cache_corrupt_entries = (
-                self.cache.corrupt_entries - cache_corrupt_before
-            )
-        if self.journal is not None:
-            stats.checkpoint_corrupt_entries = self.journal.corrupt_entries
         return pools, stats
 
     # ------------------------------------------------------------------
@@ -837,12 +786,6 @@ class BlockSynthesisExecutor:
         """
         attempt_config = self._attempt_config(config, policy, base_budget, attempt)
         timeout = policy.attempt_budget(self.hard_timeout, attempt)
-        tracer = get_tracer()
-        metrics = get_metrics()
-        # When observability is on, ship the worker-instrumented wrapper
-        # instead of the bare task; disabled runs keep the smaller pickle
-        # and pay nothing.
-        observed = tracer.is_enabled or metrics.is_enabled
         shm = self.shm_transport
         if shm:
             from repro.batch.shm import (
@@ -860,25 +803,16 @@ class BlockSynthesisExecutor:
         pool_manager.begin_round()
         futures = {}
         for key, (index, block, seed) in round_jobs.items():
-            attempt_seed = policy.attempt_seed(seed, attempt)
-            if observed:
-                call = (
-                    _observed_task, task, self.fault_injector,
-                    index, attempt, block, attempt_config, attempt_seed,
-                )
-            elif self.fault_injector is not None:
-                call = (
-                    _faulted_task, task, self.fault_injector,
-                    index, attempt, block, attempt_config, attempt_seed,
-                )
-            else:
-                call = (task, block, attempt_config, attempt_seed)
+            args = (
+                task, self.fault_injector, index, attempt, block,
+                attempt_config, policy.attempt_seed(seed, attempt),
+            )
             if shm:
                 futures[key] = pool_manager.submit(
-                    shm_synthesis_task, call[0], min_bytes, *call[1:]
+                    shm_synthesis_task, _observed_task, min_bytes, *args
                 )
             else:
-                futures[key] = pool_manager.submit(*call)
+                futures[key] = pool_manager.submit(_observed_task, *args)
         for key, future in futures.items():
             index = round_jobs[key][0]
             unitaries = None
@@ -886,15 +820,11 @@ class BlockSynthesisExecutor:
                 payload = future.result(timeout=timeout)
                 if shm:
                     payload, unitaries = decode_payload(payload)
-                if observed:
-                    solutions, elapsed, records, snapshot = payload
-                    # Replay before validation: worker-side events
-                    # must land in the trace even when the returned
-                    # candidates are quarantined below.
-                    tracer.replay(records)
-                    metrics.merge(snapshot)
-                else:
-                    solutions, elapsed = payload
+                solutions, elapsed, observed = payload
+                # Replay before validation: worker-side events must land
+                # in the trace even when the returned candidates are
+                # quarantined below.
+                _replay_observed(observed)
                 if self.validate:
                     validate_solutions(
                         round_jobs[key][1].unitary(),
@@ -928,6 +858,8 @@ class BlockSynthesisExecutor:
                 )
                 failures[key] = exc
             except Exception as exc:  # worker raised
+                if hasattr(exc, "observed"):
+                    _replay_observed(exc.observed)
                 _note_failure(
                     log, index, attempt, FAILURE_EXCEPTION,
                     f"{type(exc).__name__}: {exc}",
@@ -949,7 +881,6 @@ class BlockSynthesisExecutor:
         resolved,
         resolved_unitaries,
         resolved_attempt,
-        stats: BlockSynthesisStats,
         journal_blocks,
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
         """Adopt results published by other executors' in-flight jobs.
@@ -959,8 +890,6 @@ class BlockSynthesisExecutor:
         caller re-dispatches them as this executor's own attempt in the
         same round.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
         if self.hard_timeout is None:
             timeout = None
         else:
@@ -978,11 +907,7 @@ class BlockSynthesisExecutor:
                 # Published results are baseline by construction, so
                 # they stay cache-writable under the plain entry key.
                 resolved_attempt[key] = 0
-                stats.dedup_joins += 1
-                if tracer.is_enabled:
-                    tracer.event("dedup.adopt", block=job[0])
-                if metrics.is_enabled:
-                    metrics.inc("dedup.hits")
+                emit("dedup.adopt", block=job[0])
                 adopted.append(key)
                 if self.journal is not None:
                     journal_blocks(key)

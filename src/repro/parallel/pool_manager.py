@@ -83,18 +83,14 @@ class PersistentWorkerPool:
             self._pool.shutdown(wait=False)
             self._pool = None
             self.recycles += 1
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.recycles")
+            get_metrics().inc("pool.recycles")
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_warm_worker
             )
             self._unhealthy = False
             self.pools_created += 1
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.created")
+            get_metrics().inc("pool.created")
         return self._pool
 
     def begin_round(self) -> None:
@@ -102,9 +98,8 @@ class PersistentWorkerPool:
         with self._lock:
             self.rounds_served += 1
             metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.rounds")
-                metrics.gauge("pool.reuses", self.reuses)
+            metrics.inc("pool.rounds")
+            metrics.gauge("pool.reuses", self.reuses)
 
     def submit(self, fn, /, *args) -> Future:
         """Submit work to the (possibly freshly recycled) pool."""

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit
 from repro.resilience.deadline import check_deadline
 
 FAULT_KINDS = (
@@ -130,14 +130,7 @@ class FaultInjector:
     def _note(self, kind: str, block: int, attempt: int = 0) -> None:
         """Log a fired fault locally and to the ambient tracer/metrics."""
         self.fired.append((kind, block, attempt))
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event(
-                "fault.injected", kind=kind, block=block, attempt=attempt
-            )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("faults.injected")
+        emit("fault.injected", kind=kind, block=block, attempt=attempt)
 
     # ------------------------------------------------------------------
     # Synthesis-job hooks

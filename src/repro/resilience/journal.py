@@ -43,7 +43,7 @@ import os
 from pathlib import Path
 
 from repro.exceptions import CheckpointError
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit
 from repro.store.record import (
     RecordError,
     decode_record,
@@ -192,12 +192,7 @@ class RunJournal:
             "journal", f"{int(index)}:{key}", encode_solutions(solutions)
         )
         publish_atomic(path, record, durable=True)
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event("checkpoint.store", block=int(index))
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("checkpoint.stores")
+        emit("checkpoint.store", block=int(index))
         if self.fault_injector is not None:
             self.fault_injector.on_checkpoint_write(int(index), path)
 
@@ -226,10 +221,5 @@ class RunJournal:
     def discard(self, index: int) -> None:
         """Quarantine block ``index``'s entry (count + set aside)."""
         self.corrupt_entries += 1
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event("checkpoint.quarantine", block=int(index))
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("checkpoint.quarantined")
+        emit("checkpoint.quarantine", block=int(index))
         quarantine(self._entry_path(index))

@@ -74,6 +74,11 @@ class FailureRecord:
         }
 
 
+def fallback_blocks(records: list[FailureRecord]) -> list[int]:
+    """Indices of the blocks a failure log shows degraded to the fallback."""
+    return [r.block_index for r in records if r.kind == FAILURE_FALLBACK]
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How (and how often) failed block synthesis is retried.
@@ -168,8 +173,6 @@ class RetryLog:
     """Mutable accumulator the executor threads through a run."""
 
     records: list[FailureRecord] = field(default_factory=list)
-    #: Attempts beyond the first actually executed, across all blocks.
-    retries: int = 0
 
     def record(self, block_index: int, attempt: int, kind: str, message: str) -> None:
         self.records.append(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.observability import get_logger, get_metrics, get_tracer
+from repro.observability import emit, get_logger
 
 CLOSED = "closed"
 OPEN = "open"
@@ -132,12 +132,7 @@ class CircuitBreaker:
         get_logger("service.breaker").warning(
             f"circuit breaker {previous} -> {new}"
         )
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event("breaker.transition", previous=previous, new=new)
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc(f"breaker.to_{new}")
+        emit("breaker.transition", previous=previous, new=new)
 
     def snapshot(self) -> dict:
         """Status-endpoint view of the breaker."""

@@ -91,9 +91,7 @@ class JobLedger:
             encode_record("job", record.job_id, payload),
             durable=True,
         )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("ledger.stores")
+        get_metrics().inc("ledger.stores")
 
     # ------------------------------------------------------------------
     # Read path
@@ -121,9 +119,7 @@ class JobLedger:
             get_logger("service.ledger").warning(
                 f"quarantining corrupt ledger entry {path.name}: {exc}"
             )
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("ledger.quarantined")
+            get_metrics().inc("ledger.quarantined")
             quarantine(path)
             return None
 

@@ -193,7 +193,6 @@ class QuestService:
         self._job_events: dict[str, asyncio.Event] = {}
         self._next_job_number = 0
         self._active = 0
-        self._degraded_jobs = 0
         self._started_at = 0.0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
@@ -418,7 +417,6 @@ class QuestService:
             "service.jobs_done" if error is None else "service.jobs_failed"
         )
         if degraded:
-            self._degraded_jobs += 1
             self.metrics.inc("service.jobs_degraded")
         self._signal_waiters(record.job_id)
 
@@ -502,8 +500,7 @@ class QuestService:
             self.breaker.record_failure()
         else:
             self.breaker.record_success()
-        if result.metrics:
-            self.metrics.merge(result.metrics)
+        self.metrics.merge(result.metrics)
         self._finish(record, result=result_payload(result, config))
 
     def _run_degraded(self, record: JobRecord, circuit, config) -> None:
@@ -733,6 +730,7 @@ class QuestService:
         self.metrics.gauge("service.queue_depth", self.scheduler.depth)
         for tenant, depth in self.scheduler.depths().items():
             self.metrics.gauge(f"service.queue_depth.{tenant}", depth)
+        metrics = self.metrics.snapshot()
         return {
             "type": "status",
             "version": PROTOCOL_VERSION,
@@ -746,7 +744,9 @@ class QuestService:
             "jobs_by_state": jobs_by_state,
             "admitted": self.scheduler.admitted,
             "rejected": dict(self.scheduler.rejected),
-            "degraded_jobs": self._degraded_jobs,
+            "degraded_jobs": int(
+                metrics["counters"].get("service.jobs_degraded", 0)
+            ),
             "tenants": self.scheduler.tenant_summary(),
             "breaker": self.breaker.snapshot(),
             "ledger": {
@@ -761,7 +761,7 @@ class QuestService:
                 ),
                 "namespaces": self._store_status(),
             },
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
 
 

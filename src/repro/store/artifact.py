@@ -58,7 +58,7 @@ import time
 from pathlib import Path
 
 from repro.exceptions import StoreError
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit, get_metrics
 from repro.store.record import TMP_SUFFIX, publish_atomic
 
 #: Namespace used when none is given (solo runs, un-tenanted clients).
@@ -176,9 +176,7 @@ class ArtifactStore:
     def _count(self, counter: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + amount)
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc(f"store.{counter}.{self.namespace}", amount)
+        get_metrics().inc(f"store.{counter}.{self.namespace}", amount)
 
     def counters(self) -> dict:
         """Snapshot of this instance's counters (JSON-ready)."""
@@ -238,9 +236,7 @@ class ArtifactStore:
                 if not existed:
                     meta[0] += 1
                 meta[1] = min(meta[1], now)
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc(f"store.publishes.{self.namespace}")
+        get_metrics().inc(f"store.publishes.{self.namespace}")
         if self.max_entries is not None:
             self.evict()
         return True
@@ -272,14 +268,9 @@ class ArtifactStore:
                 except OSError:
                     continue  # Another replica's sweep won the race.
         if swept:
-            self._count("orphans_swept", swept)
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event(
-                    "store.orphans_swept",
-                    namespace=self.namespace,
-                    count=swept,
-                )
+            with self._lock:
+                self.orphans_swept += swept
+            emit("store.orphans_swept", swept, namespace=self.namespace)
         return swept
 
     def _shard_dirs(self) -> list[Path]:
@@ -385,18 +376,5 @@ class ArtifactStore:
                 # (grace window or lost races): stop for this round.
                 break
         if total_evicted:
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc(
-                    f"store.evictions.{self.namespace}", total_evicted
-                )
-                # Legacy alias kept for pre-store dashboards/tests.
-                metrics.inc("cache.evictions", total_evicted)
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event(
-                    "store.evict",
-                    namespace=self.namespace,
-                    count=total_evicted,
-                )
+            emit("store.evict", total_evicted, namespace=self.namespace)
         return total_evicted

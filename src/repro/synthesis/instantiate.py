@@ -138,9 +138,8 @@ def instantiate_multi(
     # Metrics only — this is the pipeline's innermost loop, and per-start
     # trace events would dwarf everything else in the stream.
     metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("instantiate.starts", len(results))
-        metrics.observe("instantiate.best_cost", results[0].cost)
+    metrics.inc("instantiate.starts", len(results))
+    metrics.observe("instantiate.best_cost", results[0].cost)
     return results
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SynthesisError
 from repro.linalg.su2 import zyz_decompose
-from repro.observability import get_metrics, get_tracer
+from repro.observability import emit, get_metrics
 from repro.resilience.deadline import check_deadline
 from repro.synthesis.ansatz import (
     DEFAULT_LAYER_ROTATIONS,
@@ -126,8 +126,6 @@ def synthesize(
     num_qubits = int(np.log2(dim))
     if 2**num_qubits != dim:
         raise SynthesisError(f"target dimension {dim} is not a power of two")
-    tracer = get_tracer()
-    metrics = get_metrics()
     # The time budget is measured on the same monotonic clock the
     # cooperative deadline (repro.resilience.deadline) enforces, so the
     # two bounds can never drift apart the way a perf_counter/monotonic
@@ -221,37 +219,31 @@ def synthesize(
         best_distance, _, best_params, best_placement = layer_entries[0]
         best_structure = best_structure + [best_placement]
         report.layers_explored = layer
-        if tracer.is_enabled:
-            tracer.event(
-                "leap.layer",
-                layer=layer,
-                best_distance=float(best_distance),
-                instantiations=report.instantiations,
-                pool_size=len(pool),
-            )
-        if metrics.is_enabled:
-            metrics.inc("leap.layers")
+        emit(
+            "leap.layer",
+            layer=layer,
+            best_distance=float(best_distance),
+            instantiations=report.instantiations,
+            pool_size=len(pool),
+        )
         if best_distance <= config.success_threshold and config.stop_when_exact:
             break
         if (
             config.time_budget is not None
             and time.monotonic() - start_time > config.time_budget
         ):
-            if tracer.is_enabled:
-                tracer.event(
-                    "leap.budget_exhausted",
-                    layer=layer,
-                    elapsed=time.monotonic() - start_time,
-                    budget=config.time_budget,
-                )
-            if metrics.is_enabled:
-                metrics.inc("leap.budget_exhausted")
+            emit(
+                "leap.budget_exhausted",
+                layer=layer,
+                elapsed=time.monotonic() - start_time,
+                budget=config.time_budget,
+            )
             break
     pool.sort(key=lambda s: (s.cnot_count, s.distance))
     report.solutions = pool
     report.best = min(pool, key=lambda s: s.distance)
     report.elapsed_seconds = time.monotonic() - start_time
-    if metrics.is_enabled:
-        metrics.inc("leap.instantiations", report.instantiations)
-        metrics.inc("leap.synthesis_runs")
+    metrics = get_metrics()
+    metrics.inc("leap.instantiations", report.instantiations)
+    metrics.inc("leap.synthesis_runs")
     return report

@@ -330,9 +330,10 @@ def test_bound_survives_across_instances(tmp_path):
 def test_corrupt_entries_counter(tmp_path, monkeypatch):
     """Integrity failures are *counted*; plain misses are not.
 
-    The counter surfaces through the executor's stats as
-    ``cache_corrupt_entries`` and from there into ``QuestResult``, so a
-    rotting cache directory is visible instead of silently slow.
+    Each one also emits ``cache.corrupt_entry``, which the reading
+    run's registry counts and ``QuestResult.cache_corrupt_entries``
+    reads, so a rotting cache directory is visible instead of silently
+    slow.
     """
     key = entry_key("c" * 64, 5)
     cache = PoolCache(tmp_path)

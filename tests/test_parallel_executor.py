@@ -14,6 +14,7 @@ import pytest
 import repro.parallel.executor as executor_module
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, QuestTimings, run_quest
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import (
     BlockSynthesisExecutor,
@@ -139,7 +140,7 @@ def test_run_quest_completes_despite_universal_worker_failure(monkeypatch):
     assert timings.total_seconds == pytest.approx(
         timings.partition_seconds
         + timings.synthesis_seconds
-        + timings.annealing_seconds
+        + timings.selection_seconds
     )
 
 
@@ -211,7 +212,7 @@ def test_timings_total_reconciles_with_per_block_list():
     timings = QuestTimings(
         partition_seconds=0.5,
         synthesis_seconds=2.0,
-        annealing_seconds=1.0,
+        selection_seconds=1.0,
         block_synthesis_seconds=[0.9, 0.0, 0.8],
     )
     # The per-block entries are detail *within* synthesis_seconds, not an
@@ -227,22 +228,31 @@ def test_stats_counters_partition_the_blocks():
         for b in blocks
         if b.num_qubits == 1 or b.circuit.cnot_count() == 0
     )
-    pools, stats = BlockSynthesisExecutor(
-        workers=1, cache=PoolCache()
-    ).run(blocks, CONFIG, seeds)
-    assert stats.cache_hits + stats.cache_misses + trivial == len(blocks)
+
+    def run_counted(runner):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            pools, stats = runner.run(blocks, CONFIG, seeds)
+        counters = registry.snapshot()["counters"]
+        return pools, stats, lambda name: counters.get(name, 0)
+
+    pools, stats, count = run_counted(
+        BlockSynthesisExecutor(workers=1, cache=PoolCache())
+    )
+    assert count("cache.hit") + count("cache.miss") + trivial == len(blocks)
     assert len(stats.block_seconds) == len(blocks)
     # Only synthesized blocks carry nonzero per-block time.
-    assert sum(1 for s in stats.block_seconds if s > 0) == stats.cache_misses
+    assert sum(1 for s in stats.block_seconds if s > 0) == count("cache.miss")
 
-    pools_nc, stats_nc = BlockSynthesisExecutor(workers=1).run(
-        blocks, CONFIG, seeds
-    )
-    assert stats_nc.cache_hits == 0
+    pools_nc, _, count_nc = run_counted(BlockSynthesisExecutor(workers=1))
+    assert count_nc("cache.hit") == 0
     # With the cache off, repeats dedup to one dispatched job each and
     # count as dedup joins instead of cache hits.
-    assert stats_nc.cache_misses + stats_nc.dedup_joins == len(blocks) - trivial
-    assert stats_nc.dedup_joins == stats.cache_hits
+    assert (
+        count_nc("cache.miss") + count_nc("dedup.hits")
+        == len(blocks) - trivial
+    )
+    assert count_nc("dedup.hits") == count("cache.hit")
     # Cache on and off produce identical pools.
     for a, b in zip(pools, pools_nc):
         assert a.cnot_counts().tolist() == b.cnot_counts().tolist()

@@ -18,6 +18,7 @@ from repro.algorithms import tfim
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
@@ -49,6 +50,14 @@ FAST = dict(
     block_time_budget=None,
 )
 CONFIG = QuestConfig(seed=3, **FAST)
+
+
+def _run_counted(runner, blocks, seeds):
+    """``runner.run`` under its own registry: (pools, stats, counters)."""
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        pools, stats = runner.run(blocks, CONFIG, seeds)
+    return pools, stats, registry.snapshot()["counters"]
 
 
 def _blocks():
@@ -244,11 +253,11 @@ def test_inline_hang_times_out_and_recovers_bit_identically():
         fault_injector=injector,
     )
     start = time.monotonic()
-    pools, stats = runner.run(blocks, CONFIG, seeds)
+    pools, stats, counters = _run_counted(runner, blocks, seeds)
     # Cut off cooperatively: nowhere near the 60s the hang would take.
     assert time.monotonic() - start < 30.0
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters["retry.attempts"] > 0
     assert stats.failure_log
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
@@ -270,9 +279,9 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers():
         retry_policy=RetryPolicy(max_attempts=2),
         fault_injector=injector,
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
+    pools, stats, counters = _run_counted(runner, blocks, seeds)
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters["retry.attempts"] > 0
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
 
@@ -299,17 +308,21 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
     # Run 2 reads the poisoned tier: the checksum catches the flip, the
     # entry is counted corrupt and recomputed, results stay identical.
     cache = PoolCache(cache_dir)
-    pools, stats = BlockSynthesisExecutor(cache=cache).run(blocks, CONFIG, seeds)
+    pools, stats, counters = _run_counted(
+        BlockSynthesisExecutor(cache=cache), blocks, seeds
+    )
     assert cache.corrupt_entries == 1
-    assert stats.cache_corrupt_entries == 1
+    assert counters["cache.corrupt_entries"] == 1
     assert not stats.fallback_blocks
     _pools_equal(clean_pools, pools)
 
     # Run 3: the recompute overwrote the bad file, so the tier is clean.
     cache = PoolCache(cache_dir)
-    pools, stats = BlockSynthesisExecutor(cache=cache).run(blocks, CONFIG, seeds)
+    pools, _, counters = _run_counted(
+        BlockSynthesisExecutor(cache=cache), blocks, seeds
+    )
     assert cache.corrupt_entries == 0
-    assert stats.cache_misses == 0
+    assert counters.get("cache.miss", 0) == 0
     _pools_equal(clean_pools, pools)
 
 

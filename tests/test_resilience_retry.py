@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
@@ -31,6 +32,14 @@ CONFIG = QuestConfig(
     sphere_variants_per_count=2,
     block_time_budget=None,
 )
+
+
+def _run_counted(runner, blocks, seeds):
+    """``runner.run`` under its own registry: (pools, stats, counters)."""
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        pools, stats = runner.run(blocks, CONFIG, seeds)
+    return pools, stats, registry.snapshot()["counters"]
 
 
 def _blocks():
@@ -132,8 +141,8 @@ def test_transient_raise_recovers_bit_identically(workers):
         retry_policy=RetryPolicy(max_attempts=2),
         fault_injector=injector,
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
+    pools, stats, counters = _run_counted(runner, blocks, seeds)
+    assert counters["retry.attempts"] > 0
     assert not stats.fallback_blocks
     assert all(r.kind == FAILURE_EXCEPTION for r in stats.failure_log)
     assert all(r.attempt == 0 for r in stats.failure_log)
@@ -272,8 +281,8 @@ def test_executor_backoff_schedule_under_fake_clock():
         sleep_fn=sleeps.append,
         backoff_rng=recorder,
     )
-    _, stats = runner.run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
+    _, _, counters = _run_counted(runner, blocks, seeds)
+    assert counters["retry.attempts"] > 0
     assert sleeps, "no backoff sleeps were recorded"
     # Every recorded ceiling is one of the capped exponential tiers, and
     # both tiers fired (attempt 1 -> 0.25, attempt 2 -> 0.5).
@@ -296,13 +305,17 @@ def test_backoff_never_perturbs_results():
         fault_injector=FaultInjector(specs=specs),
     ).run(blocks, CONFIG, seeds)
     sleeps: list[float] = []
-    backoff_pools, stats = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.5),
-        fault_injector=FaultInjector(specs=specs),
-        sleep_fn=sleeps.append,
-        backoff_rng=np.random.default_rng(99),
-    ).run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
+    backoff_pools, _, counters = _run_counted(
+        BlockSynthesisExecutor(
+            retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.5),
+            fault_injector=FaultInjector(specs=specs),
+            sleep_fn=sleeps.append,
+            backoff_rng=np.random.default_rng(99),
+        ),
+        blocks,
+        seeds,
+    )
+    assert counters["retry.attempts"] > 0
     assert sleeps
     _pools_equal(plain_pools, backoff_pools)
 
@@ -318,9 +331,9 @@ def test_escalated_seed_changes_the_synthesis_stream():
         retry_policy=RetryPolicy(max_attempts=3),
         fault_injector=FaultInjector(specs=specs),
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
+    pools, stats, counters = _run_counted(runner, blocks, seeds)
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters["retry.attempts"] > 0
     # Pools exist for every block and remain healthy (validated), even
     # though candidate sets may differ from the attempt-0 stream.
     assert len(pools) == len(clean_pools)
