@@ -256,7 +256,14 @@ class Gate:
                 f"gate {self.name!r} takes {expected} parameter(s), "
                 f"got {len(self.params)}"
             )
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(float(p) for p in self.params)
+        # The one IR point every construction path (builder methods,
+        # append, the QASM reader) goes through: fail closed here.
+        if not all(math.isfinite(p) for p in params):
+            raise GateError(
+                f"gate {self.name!r} has a non-finite parameter: {params}"
+            )
+        object.__setattr__(self, "params", params)
 
     @property
     def num_qubits(self) -> int:

@@ -16,7 +16,7 @@ import re
 
 from repro.circuits.circuit import Circuit, Operation
 from repro.circuits.gates import GATE_NUM_PARAMS, Gate
-from repro.exceptions import QasmError
+from repro.exceptions import GateError, QasmError
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -149,7 +149,11 @@ def circuit_from_qasm(text: str) -> Circuit:
             if not qubit_match:
                 raise QasmError(f"bad qubit reference {arg.strip()!r} in {stmt!r}")
             qubits.append(int(qubit_match.group(1)))
-        circuit.append(Operation(Gate(name, params), tuple(qubits)))
+        try:
+            gate = Gate(name, params)
+        except GateError as exc:
+            raise QasmError(f"bad gate in {stmt!r}: {exc}") from exc
+        circuit.append(Operation(gate, tuple(qubits)))
     if circuit is None:
         raise QasmError("no qreg declaration found")
     return circuit

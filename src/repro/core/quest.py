@@ -157,7 +157,7 @@ class QuestTimings:
     #: Wall time of the selection phase (Fig. 12's "annealing" bar; the
     #: exhaustive batched path can replace the annealer entirely).
     selection_seconds: float = 0.0
-    #: Per-block synthesis seconds measured inside the worker; 0.0 for
+    #: Per-block synthesis seconds on LEAP's own clock; 0.0 for
     #: trivial blocks and cache hits.  With ``workers > 1`` the entries
     #: overlap in wall time, so their sum can exceed ``synthesis_seconds``.
     block_synthesis_seconds: list[float] = field(default_factory=list)

@@ -38,6 +38,9 @@ def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Phase-invariant HS process distance in ``[0, 1]`` (paper Sec. 2)."""
     dim = u.shape[0]
     overlap = abs(hs_inner(u, v)) / dim
+    # The clamp absorbs rounding past 1; it must never turn NaN into 0.
+    if not math.isfinite(overlap):
+        raise ReproError(f"HS overlap is not finite ({overlap})")
     return math.sqrt(max(0.0, 1.0 - overlap * overlap))
 
 
@@ -80,4 +83,6 @@ def global_phase_between(u: np.ndarray, v: np.ndarray) -> complex:
 
 def fidelity_from_distance(distance: float) -> float:
     """Convert an HS distance to the corresponding process overlap."""
+    if not math.isfinite(distance):
+        raise ReproError(f"HS distance is not finite ({distance})")
     return math.sqrt(max(0.0, 1.0 - distance * distance))

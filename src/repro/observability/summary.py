@@ -17,6 +17,7 @@ STAGE_SPANS = {
     "partition": "quest.partition",
     "synthesis": "quest.synthesis",
     "selection": "quest.selection",
+    "certify": "quest.certify",
     "noisy_eval": "quest.noisy_eval",
 }
 

@@ -39,11 +39,16 @@ block downgrade to the exact-block singleton pool — the distance-zero
 fallback QUEST always keeps — with a :class:`RuntimeWarning`, so one bad
 block costs approximation quality, never the run.
 
-Timeouts come in two flavors: worker processes are bounded by the
-future's hard result timeout, while the inline (``workers == 1``) path
-arms a *cooperative* deadline (:mod:`repro.resilience.deadline`) that
-the synthesis loops check between optimizer runs — the only way to bound
-work that runs in the parent process itself.
+Inline (``workers == 1``) and pooled execution share one attempt round.
+Every attempt runs the same body (:func:`_attempt`: fault hooks and the
+``synthesis.block`` span around the task) — in the parent under a
+*cooperative* deadline (:mod:`repro.resilience.deadline`) that the
+synthesis loops check between optimizer runs, or in a worker behind the
+future's hard result timeout, with its trace records and metrics
+marshalled home.  Every outcome then goes through one landing step that
+validates the candidates, classifies a failure, and records a success.
+A block's synthesis time is LEAP's own elapsed clock, the same clock
+that enforces its time budget.
 
 Worker processes live in a :class:`~repro.parallel.pool_manager.
 PersistentWorkerPool` that is reused across retry rounds (and, when the
@@ -61,6 +66,7 @@ import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -144,22 +150,41 @@ class _ScaledBudgetConfig:
 def _synthesize_solutions_task(
     block: CircuitBlock, config, seed: int
 ) -> tuple[list[SynthesisSolution], float]:
-    """The unit of work shipped to a worker: LEAP on one block's unitary.
+    """The unit of work of one attempt: LEAP on one block's unitary.
 
-    Returns the solution list plus the synthesis wall time measured
-    inside the worker (queueing and pickling excluded).
+    Returns the solution list plus LEAP's own elapsed seconds — the
+    clock that enforces the block's time budget (queueing and pickling
+    excluded).
     """
-    start = time.perf_counter()
     leap_config = leap_config_for_block(
         block.circuit.cnot_count(), config, seed
     )
     report = synthesize(block.unitary(), leap_config)
-    return report.solutions, time.perf_counter() - start
+    return report.solutions, report.elapsed_seconds
 
 
-def _observed_task(task, injector, index, attempt, block, config, seed):
-    """Worker-side wrapper: fires scheduled faults around ``task`` and
-    marshals observability back to the parent.
+def _attempt(task, injector, index, attempt, block, config, seed):
+    """One synthesis attempt: ``task`` inside the block's span, with the
+    scheduled faults fired around it.  Returns ``(solutions, elapsed)``.
+
+    Runs wherever the attempt runs — inline in the parent or in a worker
+    (through :func:`_observed_task`) — and records into whichever
+    tracer and registry are ambient there.
+    """
+    with get_tracer().span(
+        "synthesis.block", block=index, attempt=attempt, seed=seed
+    ):
+        if injector is not None:
+            injector.on_synthesis_start(index, attempt)
+        solutions, elapsed = task(block, config, seed)
+        if injector is not None:
+            solutions = injector.corrupt_solutions(index, attempt, solutions)
+    return solutions, elapsed
+
+
+def _observed_task(*args):
+    """Worker-side wrapper: runs :func:`_attempt` and marshals
+    observability back to the parent.
 
     A worker process cannot write the parent's trace sink, so it records
     into a local buffer under its own tracer/metrics pair and ships the
@@ -172,24 +197,25 @@ def _observed_task(task, injector, index, attempt, block, config, seed):
     unobserved run to optimize for.
     """
     sink = ListSink()
-    tracer = Tracer(sink, origin="worker")
     metrics = MetricsRegistry()
     try:
-        with use_tracer(tracer), use_metrics(metrics):
-            with tracer.span(
-                "synthesis.block", block=index, attempt=attempt, seed=seed
-            ):
-                if injector is not None:
-                    injector.on_synthesis_start(index, attempt)
-                solutions, elapsed = task(block, config, seed)
-                if injector is not None:
-                    solutions = injector.corrupt_solutions(
-                        index, attempt, solutions
-                    )
+        with use_tracer(Tracer(sink, origin="worker")), use_metrics(metrics):
+            solutions, elapsed = _attempt(*args)
     except Exception as exc:
         exc.observed = (sink.records, metrics.snapshot())
         raise
     return solutions, elapsed, (sink.records, metrics.snapshot())
+
+
+def _inline_attempt(args, timeout):
+    """Run one attempt in the parent under the cooperative deadline.
+
+    Returns ``(solutions, elapsed, unitaries)`` like a pooled fetch; the
+    inline path never ships unitaries.
+    """
+    with block_deadline(timeout):
+        solutions, elapsed = _attempt(*args)
+    return solutions, elapsed, None
 
 
 def _replay_observed(observed) -> None:
@@ -213,14 +239,6 @@ def _discard_late_envelope(future) -> None:
     from repro.batch.shm import discard_envelope
 
     discard_envelope(envelope)
-
-
-def _note_failure(
-    log: RetryLog, index: int, attempt: int, kind: str, message: str
-) -> None:
-    """Record a failure in the structured log and mirror it as telemetry."""
-    log.record(index, attempt, kind, message)
-    emit("synthesis.failure", block=index, attempt=attempt, kind=kind)
 
 
 def assemble_pool(
@@ -276,8 +294,8 @@ class BlockSynthesisStats:
     them back as views over its per-run snapshot.
     """
 
-    #: Per-block synthesis seconds, measured inside the worker; 0.0 for
-    #: trivial blocks and cache/repeat/checkpoint hits.
+    #: Per-block synthesis seconds on LEAP's own clock; 0.0 for trivial
+    #: blocks and cache/repeat/checkpoint hits.
     block_seconds: list[float] = field(default_factory=list)
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
@@ -295,6 +313,43 @@ class _BlockPlan:
     trivial: bool
     key: str | None = None  # entry key (None for trivial blocks)
     seed: int = 0  # canonical synthesis seed
+
+
+@dataclass
+class _RunState:
+    """Everything one :meth:`BlockSynthesisExecutor.run` call mutates."""
+
+    blocks: list[CircuitBlock]
+    config: object
+    policy: RetryPolicy
+    task: object
+    stats: BlockSynthesisStats
+    log: RetryLog = field(default_factory=RetryLog)
+    plans: list[_BlockPlan] = field(default_factory=list)
+    #: Entry key -> (first block index, block, canonical seed).
+    jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
+    resolved: dict[str, list[SynthesisSolution]] = field(default_factory=dict)
+    unitaries: dict[str, list] = field(default_factory=dict)
+    #: Entry key -> attempt that resolved it (journal restores absent).
+    resolved_attempt: dict[str, int] = field(default_factory=dict)
+    #: Entry key -> the last failed attempt's exception.
+    failures: dict[str, BaseException] = field(default_factory=dict)
+    #: Block indices the journal holds.
+    journaled: set[int] = field(default_factory=set)
+    #: One opaque token per run: the in-flight registry keys claims by
+    #: it, so a crashed run releases wholesale.
+    claim_token: object = field(default_factory=object)
+
+    @property
+    def base_budget(self):
+        return getattr(self.config, "block_time_budget", None)
+
+    def note_failure(
+        self, index: int, attempt: int, kind: str, message: str
+    ) -> None:
+        """Record a failure in the structured log and mirror it as telemetry."""
+        self.log.record(index, attempt, kind, message)
+        emit("synthesis.failure", block=index, attempt=attempt, kind=kind)
 
 
 class BlockSynthesisExecutor:
@@ -414,79 +469,48 @@ class BlockSynthesisExecutor:
             raise ValueError(
                 f"got {len(seeds)} seeds for {len(blocks)} blocks"
             )
-        task = (
-            self._synthesize_fn
-            if self._synthesize_fn is not None
-            else _synthesize_solutions_task
+        run = _RunState(
+            blocks=blocks,
+            config=config,
+            policy=self.retry_policy or RetryPolicy(max_attempts=1),
+            task=(
+                self._synthesize_fn
+                if self._synthesize_fn is not None
+                else _synthesize_solutions_task
+            ),
+            stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
-        policy = self.retry_policy or RetryPolicy(max_attempts=1)
-        stats = BlockSynthesisStats(block_seconds=[0.0] * len(blocks))
-        log = RetryLog()
-        base_budget = getattr(config, "block_time_budget", None)
+        self._plan(run, seeds)
+        self._synthesize(run)
+        pools = self._assemble(run)
+        run.stats.failure_log = run.log.records
+        return pools, run.stats
 
-        def admit(source, index, key, block, solutions) -> bool:
-            """Serve block ``index`` from a ``"journal"`` or ``"disk"`` entry.
-
-            Both cross a trust boundary: the entry must exist and pass
-            validation, and a failing one is logged (a journal entry is
-            also quarantined) so the block falls through to the next
-            source.  Returns whether the block was served.
-            """
-            if solutions is None:
-                return False
-            if self.validate:
-                try:
-                    validate_solutions(
-                        block.unitary(),
-                        solutions,
-                        independent=self.independent_validation,
-                    )
-                except ValidationError as exc:
-                    if source == "journal":
-                        _note_failure(
-                            log, index, 0, FAILURE_CHECKPOINT, str(exc)
-                        )
-                        self.journal.discard(index)
-                    else:
-                        _note_failure(
-                            log, index, 0, FAILURE_VALIDATION,
-                            f"cache entry quarantined: {exc}",
-                        )
-                    return False
-            resolved[key] = solutions
-            if source == "journal":
-                emit("checkpoint.hit", block=index)
-            else:
-                emit("cache.hit", block=index, source="disk")
-            return True
-
-        # Phase 1: plan. Canonicalize seeds per content key, then serve
-        # each block from the first source holding its entry key — the
-        # run journal, this run, the cache — or queue a synthesis job.
-        plans: list[_BlockPlan] = []
+    # ------------------------------------------------------------------
+    # Phase 1: plan
+    # ------------------------------------------------------------------
+    def _plan(self, run: _RunState, seeds: list[int]) -> None:
+        """Canonicalize seeds per content key, then serve each block from
+        the first source holding its entry key — the run journal, this
+        run, the cache — or queue a synthesis job."""
         canonical_seed: dict[str, int] = {}
-        resolved: dict[str, list[SynthesisSolution]] = {}
-        resolved_unitaries: dict[str, list] = {}
-        resolved_attempt: dict[str, int] = {}
-        jobs: dict[str, tuple[int, CircuitBlock, int]] = {}
-        journaled: set[int] = set()  # block indices the journal holds
-        for index, (block, seed) in enumerate(zip(blocks, seeds)):
+        for index, (block, seed) in enumerate(zip(run.blocks, seeds)):
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
-                plans.append(_BlockPlan(trivial=True))
+                run.plans.append(_BlockPlan(trivial=True))
                 continue
             fingerprint = leap_config_for_block(
-                block.circuit.cnot_count(), config, seed=None
+                block.circuit.cnot_count(), run.config, seed=None
             ).fingerprint()
             content = content_key(block.unitary(), fingerprint)
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
-            plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
-            if self.journal is not None and admit(
-                "journal", index, key, block, self.journal.load_pool(index, key)
+            run.plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
+            if self.journal is not None and self._admit(
+                run, "journal", index, key, self.journal.load_pool(index, key)
             ):
-                journaled.add(index)
+                run.journaled.add(index)
                 continue
-            if key in resolved or key in jobs:
+            if key in run.resolved or key in run.jobs:
                 # Within-run repeat: the canonical seed makes its result
                 # identical to the first occurrence's, so it joins that
                 # (counted as a cache hit, or a dedup join cache-off).
@@ -496,38 +520,60 @@ class BlockSynthesisExecutor:
                     source="run",
                 )
                 continue
-            if self.cache is not None and admit(
-                "disk", index, key, block, self.cache.get(key)
+            if self.cache is not None and self._admit(
+                run, "disk", index, key, self.cache.get(key)
             ):
                 continue
-            jobs[key] = (index, block, seed)
+            run.jobs[key] = (index, block, seed)
             get_metrics().inc("cache.miss")
 
-        def journal_blocks(job_key: str) -> None:
-            """Journal every block the landed job serves.
+    def _admit(self, run: _RunState, source, index, key, solutions) -> bool:
+        """Serve block ``index`` from a ``"journal"`` or ``"disk"`` entry.
 
-            Called as each job lands, so a crash mid-run loses at most
-            the blocks still in flight.
-            """
-            for index, plan in enumerate(plans):
-                if plan.key == job_key and index not in journaled:
-                    self.journal.store_pool(index, job_key, resolved[job_key])
-                    journaled.add(index)
+        Both cross a trust boundary: the entry must exist and pass
+        validation, and a failing one is logged (a journal entry is
+        also quarantined) so the block falls through to the next
+        source.  Returns whether the block was served.
+        """
+        if solutions is None:
+            return False
+        if self.validate:
+            try:
+                validate_solutions(
+                    run.blocks[index].unitary(),
+                    solutions,
+                    independent=self.independent_validation,
+                )
+            except ValidationError as exc:
+                if source == "journal":
+                    run.note_failure(index, 0, FAILURE_CHECKPOINT, str(exc))
+                    self.journal.discard(index)
+                else:
+                    run.note_failure(
+                        index, 0, FAILURE_VALIDATION,
+                        f"cache entry quarantined: {exc}",
+                    )
+                return False
+        run.resolved[key] = solutions
+        if source == "journal":
+            emit("checkpoint.hit", block=index)
+        else:
+            emit("cache.hit", block=index, source="disk")
+        return True
 
-        # Phase 2: execute the synthesis jobs, retrying under the policy.
-        failures: dict[str, BaseException] = {}
-        pending = dict(jobs)
+    # ------------------------------------------------------------------
+    # Phase 2: execute the synthesis jobs, retrying under the policy
+    # ------------------------------------------------------------------
+    def _synthesize(self, run: _RunState) -> None:
+        policy = run.policy
+        pending = dict(run.jobs)
         own_pool: PersistentWorkerPool | None = None
         pool_manager = self.worker_pool
         if self.workers > 1 and pool_manager is None and pending:
             # Run-scoped pool: constructed once, reused across retry
             # rounds, recycled only when a round marks it unhealthy
             # (hung or killed worker — see PersistentWorkerPool).
-            own_pool = PersistentWorkerPool(self.workers)
-            pool_manager = own_pool
-        # One opaque token per run() call: the in-flight registry keys
-        # claims by it, so a crashed run releases wholesale in `finally`.
-        claim_token = object()
+            own_pool = pool_manager = PersistentWorkerPool(self.workers)
         try:
             for attempt in range(policy.max_attempts):
                 if not pending:
@@ -556,332 +602,195 @@ class BlockSynthesisExecutor:
                 joined: dict[str, tuple] = {}
                 if self.inflight is not None:
                     for key in list(owned):
-                        entry = self.inflight.claim(key, claim_token)
+                        entry = self.inflight.claim(key, run.claim_token)
                         if entry is not None:
                             joined[key] = (entry, owned.pop(key))
-
-                def on_success(
-                    key: str,
-                    attempt: int = attempt,
-                    owned: dict = owned,
-                ) -> None:
-                    # Fires as each job lands (not at round end) so a
-                    # crash mid-round has already journaled every
-                    # finished block.
-                    resolved_attempt[key] = attempt
-                    if self.inflight is not None and key in owned:
-                        # Same rule as the disk cache: only baseline
-                        # results are interchangeable with a solo run's,
-                        # so only those are shared with joiners.
-                        if policy.is_baseline_attempt(
-                            owned[key][2], attempt, base_budget
-                        ):
-                            self.inflight.publish(
-                                key,
-                                claim_token,
-                                resolved[key],
-                                resolved_unitaries.get(key),
-                            )
-                        else:
-                            self.inflight.fail(key, claim_token)
-                    if self.journal is not None:
-                        journal_blocks(key)
-
-                def run_round(round_jobs, on_success=on_success, attempt=attempt):
-                    if not round_jobs:
-                        return []
-                    if self.workers == 1:
-                        return self._run_round_inline(
-                            task, config, round_jobs, attempt, policy,
-                            base_budget, resolved, stats, log, failures,
-                            on_success,
-                        )
-                    return self._run_round_pool(
-                        task, config, round_jobs, attempt, policy,
-                        base_budget, resolved, resolved_unitaries, stats,
-                        log, failures, on_success, pool_manager,
-                    )
-
-                succeeded = run_round(owned)
+                succeeded = self._run_round(
+                    run, owned, attempt, pool_manager, claimed=True
+                )
                 if joined:
-                    adopted, leftover = self._adopt_joined(
-                        joined, policy, resolved, resolved_unitaries,
-                        resolved_attempt, journal_blocks,
-                    )
-                    succeeded += adopted
+                    adopted, leftover = self._adopt_joined(run, joined)
                     # A join that came back empty (owner failed, or its
                     # result was not publishable) falls back to this
                     # executor's own attempt in the *same* round, so
                     # retry/seed semantics match a solo run exactly.
-                    succeeded += run_round(leftover)
+                    succeeded += adopted + self._run_round(
+                        run, leftover, attempt, pool_manager, claimed=False
+                    )
                 for key in succeeded:
                     del pending[key]
         finally:
             if self.inflight is not None:
-                self.inflight.release(claim_token)
+                self.inflight.release(run.claim_token)
             if own_pool is not None:
                 own_pool.shutdown()
         if self.cache is not None:
-            for key, (_, _, seed) in jobs.items():
+            for key, (_, _, seed) in run.jobs.items():
                 # Only results a job landed here, from a baseline attempt
                 # (attempt 0's seed and budget), are interchangeable with
                 # an unfaulted run's, so only those persist under the
                 # content-addressed key — never a journal restore.
-                if key in resolved_attempt and policy.is_baseline_attempt(
-                    seed, resolved_attempt[key], base_budget
+                if key in run.resolved_attempt and policy.is_baseline_attempt(
+                    seed, run.resolved_attempt[key], run.base_budget
                 ):
-                    self.cache.put(key, resolved[key])
+                    self.cache.put(key, run.resolved[key])
 
-        # Phase 3: assemble every pool once (parent process, block
-        # order), journaling the blocks no landed job covered.
-        pools: list[BlockPool] = []
-        for index, (block, plan) in enumerate(zip(blocks, plans)):
-            if plan.trivial:
-                pools.append(exact_pool(block))
-                continue
-            solutions = resolved.get(plan.key)
-            if solutions is None:
-                cause = failures.get(plan.key)
-                reason = (
-                    f"{type(cause).__name__ if cause else 'worker failure'}: "
-                    f"{cause}"
-                )
-                warnings.warn(
-                    f"block {index}: synthesis unavailable ({reason}); "
-                    "falling back to the exact block",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                # The degradation itself is a structured outcome, not
-                # just a warning: downstream consumers (CLI, artifacts,
-                # trace) must be able to see *which* blocks shipped the
-                # exact fallback and why.
-                log.record(
-                    index,
-                    policy.max_attempts,
-                    FAILURE_FALLBACK,
-                    f"degraded to exact block after {policy.max_attempts} "
-                    f"attempt(s): {reason}",
-                )
-                emit(
-                    "executor.fallback",
-                    block=index,
-                    attempts=policy.max_attempts,
-                )
-                pools.append(exact_pool(block))
-                continue
-            if self.journal is not None and index not in journaled:
-                self.journal.store_pool(index, plan.key, solutions)
-            pools.append(
-                assemble_pool(
-                    block, solutions, config, plan.seed,
-                    solution_unitaries=resolved_unitaries.get(plan.key),
-                )
-            )
-
-        stats.failure_log = log.records
-        return pools, stats
-
-    # ------------------------------------------------------------------
-    # Attempt rounds
-    # ------------------------------------------------------------------
-    def _attempt_config(self, config, policy: RetryPolicy, base_budget, attempt):
-        budget = policy.attempt_budget(base_budget, attempt)
-        if budget == base_budget:
-            return config
-        return _ScaledBudgetConfig(config, budget)
-
-    def _run_round_inline(
+    def _run_round(
         self,
-        task,
-        config,
-        round_jobs: dict[str, tuple[int, CircuitBlock, int]],
+        run: _RunState,
+        jobs: dict[str, tuple[int, CircuitBlock, int]],
         attempt: int,
-        policy: RetryPolicy,
-        base_budget,
-        resolved,
-        stats: BlockSynthesisStats,
-        log: RetryLog,
-        failures: dict[str, BaseException],
-        on_success,
+        pool_manager: PersistentWorkerPool | None,
+        claimed: bool,
     ) -> list[str]:
-        """Run one attempt round inline; returns the keys that succeeded."""
-        attempt_config = self._attempt_config(config, policy, base_budget, attempt)
+        """Dispatch one attempt round, then land each job in dispatch
+        order; returns the keys that succeeded.
+
+        Inline, each job's attempt runs when it is landed, so blocks
+        land one at a time; pooled, the whole round is submitted first.
+        ``claimed`` says whether this executor owns the jobs' in-flight
+        claims (and so publishes their results to joiners).
+        """
+        if not jobs:
+            return []
+        policy = run.policy
+        budget = policy.attempt_budget(run.base_budget, attempt)
+        config = (
+            run.config
+            if budget == run.base_budget
+            else _ScaledBudgetConfig(run.config, budget)
+        )
         timeout = policy.attempt_budget(self.hard_timeout, attempt)
-        tracer = get_tracer()
-        succeeded: list[str] = []
-        for key, (index, block, seed) in round_jobs.items():
-            attempt_seed = policy.attempt_seed(seed, attempt)
-            try:
-                # The span wraps synthesis *and* validation, so a block
-                # that fails either way closes with status="error"; the
-                # except clauses below still see the original exception.
-                with tracer.span(
-                    "synthesis.block",
-                    block=index,
-                    attempt=attempt,
-                    seed=attempt_seed,
-                ):
-                    with block_deadline(timeout):
-                        if self.fault_injector is not None:
-                            self.fault_injector.on_synthesis_start(
-                                index, attempt
-                            )
-                        solutions, elapsed = task(
-                            block, attempt_config, attempt_seed
-                        )
-                    if self.fault_injector is not None:
-                        solutions = self.fault_injector.corrupt_solutions(
-                            index, attempt, solutions
-                        )
-                    if self.validate:
-                        validate_solutions(
-                            block.unitary(),
-                            solutions,
-                            independent=self.independent_validation,
-                        )
-            except BlockTimeoutError as exc:
-                _note_failure(log, index, attempt, FAILURE_TIMEOUT, str(exc))
-                failures[key] = exc
-            except ValidationError as exc:
-                _note_failure(log, index, attempt, FAILURE_VALIDATION, str(exc))
-                failures[key] = exc
-            except Exception as exc:
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
-            else:
-                resolved[key] = solutions
-                stats.block_seconds[index] = elapsed
-                succeeded.append(key)
-                on_success(key)
-        return succeeded
+        round_args = {
+            key: (
+                run.task, self.fault_injector, index, attempt, block,
+                config, policy.attempt_seed(seed, attempt),
+            )
+            for key, (index, block, seed) in jobs.items()
+        }
+        if self.workers == 1:
+            fetches = {
+                key: partial(_inline_attempt, args, timeout)
+                for key, args in round_args.items()
+            }
+        else:
+            fetches = self._submit_round(pool_manager, round_args, timeout)
+        return [
+            key
+            for key, fetch in fetches.items()
+            if self._land(run, key, attempt, fetch, claimed)
+        ]
 
-    def _run_round_pool(
-        self,
-        task,
-        config,
-        round_jobs: dict[str, tuple[int, CircuitBlock, int]],
-        attempt: int,
-        policy: RetryPolicy,
-        base_budget,
-        resolved,
-        resolved_unitaries,
-        stats: BlockSynthesisStats,
-        log: RetryLog,
-        failures: dict[str, BaseException],
-        on_success,
-        pool_manager: PersistentWorkerPool,
-    ) -> list[str]:
-        """Run one attempt round over the persistent process pool.
+    def _submit_round(self, pool_manager, round_args, timeout) -> dict:
+        """Submit one round to the persistent pool; one fetch per job.
 
-        The pool outlives the round.  A round that observes a hard
+        The pool outlives the round.  A fetch that observes a hard
         timeout (the hung worker still occupies its process) or a broken
         pool (killed worker) marks it unhealthy so the *next* submission
         gets a fresh pool; healthy pools — including ones whose workers
         merely raised — are reused across rounds and, in batch mode,
         across circuits.
         """
-        attempt_config = self._attempt_config(config, policy, base_budget, attempt)
-        timeout = policy.attempt_budget(self.hard_timeout, attempt)
-        shm = self.shm_transport
-        if shm:
-            from repro.batch.shm import (
-                DEFAULT_MIN_BYTES,
-                decode_payload,
-                shm_synthesis_task,
-            )
+        if self.shm_transport:
+            from repro.batch.shm import DEFAULT_MIN_BYTES, shm_synthesis_task
 
             min_bytes = (
                 DEFAULT_MIN_BYTES
                 if self.shm_min_bytes is None
                 else self.shm_min_bytes
             )
-        succeeded: list[str] = []
         pool_manager.begin_round()
-        futures = {}
-        for key, (index, block, seed) in round_jobs.items():
-            args = (
-                task, self.fault_injector, index, attempt, block,
-                attempt_config, policy.attempt_seed(seed, attempt),
-            )
-            if shm:
-                futures[key] = pool_manager.submit(
+        fetches = {}
+        for key, args in round_args.items():
+            if self.shm_transport:
+                future = pool_manager.submit(
                     shm_synthesis_task, _observed_task, min_bytes, *args
                 )
             else:
-                futures[key] = pool_manager.submit(_observed_task, *args)
-        for key, future in futures.items():
-            index = round_jobs[key][0]
-            unitaries = None
-            try:
-                payload = future.result(timeout=timeout)
-                if shm:
-                    payload, unitaries = decode_payload(payload)
-                solutions, elapsed, observed = payload
-                # Replay before validation: worker-side events must land
-                # in the trace even when the returned candidates are
-                # quarantined below.
-                _replay_observed(observed)
-                if self.validate:
-                    validate_solutions(
-                        round_jobs[key][1].unitary(),
-                        solutions,
-                        independent=self.independent_validation,
-                    )
-            except FutureTimeoutError as exc:
-                future.cancel()
-                # The hung worker still occupies its process; flag the
-                # pool so the next submission recycles it.
-                pool_manager.mark_unhealthy()
-                if shm:
-                    # Should the abandoned task ever finish, unlink its
-                    # segment instead of leaking it in /dev/shm.
-                    future.add_done_callback(_discard_late_envelope)
-                _note_failure(
-                    log, index, attempt, FAILURE_TIMEOUT,
-                    f"hard timeout after {timeout}s",
+                future = pool_manager.submit(_observed_task, *args)
+            fetches[key] = partial(self._fetch, pool_manager, future, timeout)
+        return fetches
+
+    def _fetch(self, pool_manager, future, timeout):
+        """Await one pooled attempt: ``(solutions, elapsed, unitaries)``.
+
+        A future timeout surfaces as :class:`BlockTimeoutError`, the
+        same failure the inline deadline raises.
+        """
+        try:
+            payload = future.result(timeout=timeout)
+        except FutureTimeoutError as exc:
+            future.cancel()
+            # The hung worker still occupies its process; flag the pool
+            # so the next submission recycles it.
+            pool_manager.mark_unhealthy()
+            if self.shm_transport:
+                # Should the abandoned task ever finish, unlink its
+                # segment instead of leaking it in /dev/shm.
+                future.add_done_callback(_discard_late_envelope)
+            raise BlockTimeoutError(f"hard timeout after {timeout}s") from exc
+        except BrokenExecutor:  # worker process died
+            pool_manager.mark_unhealthy()
+            raise
+        unitaries = None
+        if self.shm_transport:
+            from repro.batch.shm import decode_payload
+
+            payload, unitaries = decode_payload(payload)
+        solutions, elapsed, observed = payload
+        # Replay before validation: worker-side events must land in the
+        # trace even when the returned candidates are quarantined.
+        _replay_observed(observed)
+        return solutions, elapsed, unitaries
+
+    def _land(self, run: _RunState, key, attempt, fetch, claimed) -> bool:
+        """Land one attempt: run ``fetch``, validate what it returns, and
+        record the outcome.  Returns whether the job succeeded."""
+        index, block, seed = run.jobs[key]
+        try:
+            solutions, elapsed, unitaries = fetch()
+            if self.validate:
+                validate_solutions(
+                    block.unitary(),
+                    solutions,
+                    independent=self.independent_validation,
                 )
-                failures[key] = exc
-            except BrokenExecutor as exc:  # worker process died
-                pool_manager.mark_unhealthy()
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
-            except ValidationError as exc:
-                _note_failure(
-                    log, index, attempt, FAILURE_VALIDATION, str(exc)
-                )
-                failures[key] = exc
-            except Exception as exc:  # worker raised
-                if hasattr(exc, "observed"):
-                    _replay_observed(exc.observed)
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
+        except Exception as exc:
+            if isinstance(exc, BlockTimeoutError):
+                kind, message = FAILURE_TIMEOUT, str(exc)
+            elif isinstance(exc, ValidationError):
+                kind, message = FAILURE_VALIDATION, str(exc)
             else:
-                resolved[key] = solutions
-                if unitaries is not None:
-                    resolved_unitaries[key] = unitaries
-                stats.block_seconds[index] = elapsed
-                succeeded.append(key)
-                on_success(key)
-        return succeeded
+                kind = FAILURE_EXCEPTION
+                message = f"{type(exc).__name__}: {exc}"
+            if hasattr(exc, "observed"):
+                # A worker exception carries its attempt's trace records.
+                _replay_observed(exc.observed)
+            run.note_failure(index, attempt, kind, message)
+            run.failures[key] = exc
+            return False
+        run.resolved[key] = solutions
+        if unitaries is not None:
+            run.unitaries[key] = unitaries
+        run.stats.block_seconds[index] = elapsed
+        # Recorded as each job lands (not at round end), so a crash
+        # mid-round has already journaled every finished block.
+        run.resolved_attempt[key] = attempt
+        if self.inflight is not None and claimed:
+            # Same rule as the disk cache: only baseline results are
+            # interchangeable with a solo run's, so only those are
+            # shared with joiners.
+            if run.policy.is_baseline_attempt(seed, attempt, run.base_budget):
+                self.inflight.publish(
+                    key, run.claim_token, solutions, unitaries
+                )
+            else:
+                self.inflight.fail(key, run.claim_token)
+        self._journal_blocks(run, key)
+        return True
 
     def _adopt_joined(
-        self,
-        joined: dict[str, tuple],
-        policy: RetryPolicy,
-        resolved,
-        resolved_unitaries,
-        resolved_attempt,
-        journal_blocks,
+        self, run: _RunState, joined: dict[str, tuple]
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
         """Adopt results published by other executors' in-flight jobs.
 
@@ -896,21 +805,82 @@ class BlockSynthesisExecutor:
             # Generous: the owner may burn through its whole retry
             # budget before the claim resolves either way.  The owner's
             # `finally` release guarantees the event fires eventually.
-            timeout = self.hard_timeout * max(policy.max_attempts, 1) + 60.0
+            timeout = self.hard_timeout * max(run.policy.max_attempts, 1) + 60.0
         adopted: list[str] = []
         leftover: dict[str, tuple[int, CircuitBlock, int]] = {}
         for key, (entry, job) in joined.items():
             if self.inflight.wait_for(entry, timeout):
-                resolved[key] = entry.solutions
+                run.resolved[key] = entry.solutions
                 if entry.unitaries is not None:
-                    resolved_unitaries[key] = entry.unitaries
+                    run.unitaries[key] = entry.unitaries
                 # Published results are baseline by construction, so
                 # they stay cache-writable under the plain entry key.
-                resolved_attempt[key] = 0
+                run.resolved_attempt[key] = 0
                 emit("dedup.adopt", block=job[0])
                 adopted.append(key)
-                if self.journal is not None:
-                    journal_blocks(key)
+                self._journal_blocks(run, key)
             else:
                 leftover[key] = job
         return adopted, leftover
+
+    def _journal_blocks(self, run: _RunState, key: str) -> None:
+        """Journal every block the landed job serves.
+
+        Called as each job lands, so a crash mid-run loses at most the
+        blocks still in flight.
+        """
+        if self.journal is None:
+            return
+        for index, plan in enumerate(run.plans):
+            if plan.key == key and index not in run.journaled:
+                self.journal.store_pool(index, key, run.resolved[key])
+                run.journaled.add(index)
+
+    # ------------------------------------------------------------------
+    # Phase 3: assemble
+    # ------------------------------------------------------------------
+    def _assemble(self, run: _RunState) -> list[BlockPool]:
+        """Assemble every pool once (parent process, block order),
+        journaling the blocks no landed job covered."""
+        max_attempts = run.policy.max_attempts
+        pools: list[BlockPool] = []
+        for index, (block, plan) in enumerate(zip(run.blocks, run.plans)):
+            if plan.trivial:
+                pools.append(exact_pool(block))
+                continue
+            solutions = run.resolved.get(plan.key)
+            if solutions is None:
+                cause = run.failures.get(plan.key)
+                reason = (
+                    f"{type(cause).__name__ if cause else 'worker failure'}: "
+                    f"{cause}"
+                )
+                warnings.warn(
+                    f"block {index}: synthesis unavailable ({reason}); "
+                    "falling back to the exact block",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                # The degradation itself is a structured outcome, not
+                # just a warning: downstream consumers (CLI, artifacts,
+                # trace) must be able to see *which* blocks shipped the
+                # exact fallback and why.
+                run.log.record(
+                    index,
+                    max_attempts,
+                    FAILURE_FALLBACK,
+                    f"degraded to exact block after {max_attempts} "
+                    f"attempt(s): {reason}",
+                )
+                emit("executor.fallback", block=index, attempts=max_attempts)
+                pools.append(exact_pool(block))
+                continue
+            if self.journal is not None and index not in run.journaled:
+                self.journal.store_pool(index, plan.key, solutions)
+            pools.append(
+                assemble_pool(
+                    block, solutions, run.config, plan.seed,
+                    solution_unitaries=run.unitaries.get(plan.key),
+                )
+            )
+        return pools

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ValidationError
+from repro.exceptions import ReproError, ValidationError
 from repro.linalg.unitary import hs_distance
 from repro.metrics.tolerances import (
     DISTANCE_CONSISTENCY_TOL,
@@ -96,7 +96,10 @@ def validate_candidate_unitary(
             f"{label}: unitarity defect {defect:.3e} exceeds "
             f"tolerance {unitarity_tol:.1e}"
         )
-    recomputed = hs_distance(unitary, target)
+    try:
+        recomputed = hs_distance(unitary, target)
+    except ReproError as exc:
+        raise ValidationError(f"{label}: recomputed HS distance: {exc}") from exc
     if abs(recomputed - recorded_distance) > distance_tol:
         raise ValidationError(
             f"{label}: recomputed HS distance {recomputed:.6e} disagrees "

@@ -33,6 +33,8 @@ class InstantiationResult:
     @property
     def distance(self) -> float:
         """HS process distance implied by the cost: sqrt(1 - (1-f)^2)."""
+        if not np.isfinite(self.cost):
+            raise SynthesisError(f"instantiation cost is not finite ({self.cost})")
         overlap = 1.0 - self.cost
         return float(np.sqrt(max(0.0, 1.0 - overlap * overlap)))
 
@@ -126,10 +128,13 @@ def instantiate_multi(
             callback=callback,
             options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-12},
         )
+        cost = float(fit.fun)
         results.append(
             InstantiationResult(
                 params=np.asarray(fit.x, dtype=float),
-                cost=max(0.0, float(fit.fun)),
+                # max(0.0, nan) is 0.0: keep a NaN cost NaN so that
+                # InstantiationResult.distance raises on it.
+                cost=cost if np.isnan(cost) else max(0.0, cost),
             )
         )
         if stop_at_cost is None and results[-1].cost <= success_cost:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, Gate, Operation
-from repro.exceptions import CircuitError
+from repro.exceptions import CircuitError, GateError
 from repro.linalg import equal_up_to_global_phase
 
 
@@ -42,6 +42,13 @@ def test_out_of_range_qubit_rejected():
 def test_duplicate_qubits_rejected():
     with pytest.raises(CircuitError):
         Operation(Gate("cx"), (1, 1))
+
+
+def test_non_finite_parameter_rejected():
+    with pytest.raises(GateError, match="non-finite"):
+        Circuit(1).rz(float("nan"), 0)
+    with pytest.raises(GateError, match="non-finite"):
+        Circuit(2).add_gate("rzz", (0, 1), (float("-inf"),))
 
 
 def test_wrong_arity_rejected():

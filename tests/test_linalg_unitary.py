@@ -100,6 +100,19 @@ def test_fidelity_from_distance():
     assert fidelity_from_distance(0.6) == pytest.approx(0.8)
 
 
+def test_hs_distance_rejects_non_finite_input():
+    # The [0, 1] clamp used to turn a NaN overlap into distance 0.0.
+    poisoned = np.eye(2, dtype=complex)
+    poisoned[0, 0] = np.nan
+    with pytest.raises(ReproError, match="not finite"):
+        hs_distance(poisoned, np.eye(2))
+
+
+def test_fidelity_from_distance_rejects_non_finite_input():
+    with pytest.raises(ReproError, match="not finite"):
+        fidelity_from_distance(float("nan"))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_hs_distance_symmetry(seed):

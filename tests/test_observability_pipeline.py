@@ -158,7 +158,9 @@ def test_trace_summary_stage_totals_match_timings(tmp_path):
 
     path = tmp_path / "run.trace"
     tracer = Tracer(JsonlSink(path))
-    result = run_quest(_circuit(), QuestConfig(**CONFIG), tracer=tracer)
+    result = run_quest(
+        _circuit(), QuestConfig(**CONFIG, certify=True), tracer=tracer
+    )
     with use_tracer(tracer):
         result.noisy_ensemble(
             NoiseModel.from_noise_level(0.01), trajectories=50
@@ -169,6 +171,7 @@ def test_trace_summary_stage_totals_match_timings(tmp_path):
         "partition": result.timings.partition_seconds,
         "synthesis": result.timings.synthesis_seconds,
         "selection": result.timings.selection_seconds,
+        "certify": result.timings.certify_seconds,
         "noisy_eval": result.timings.noisy_eval_seconds,
     }
     assert set(totals) == set(expected)

@@ -112,6 +112,12 @@ def test_parse_rejects_bad_expression():
         circuit_from_qasm("qreg q[1]; rx(__import__('os')) q[0];")
 
 
+def test_parse_rejects_non_finite_parameter():
+    # 1e309 overflows to inf; the reader must not store it.
+    with pytest.raises(QasmError, match=r"rz\(1e309\) q\[0\]"):
+        circuit_from_qasm("qreg q[1]; rz(1e309) q[0];")
+
+
 def test_parse_rejects_bad_measure():
     with pytest.raises(QasmError):
         circuit_from_qasm("qreg q[1]; measure q[0];")

@@ -211,12 +211,17 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             with pytest.raises(AdmissionRejected) as excinfo:
                 bad_submit()
             assert excinfo.value.reason == "invalid_request"
-        # Unparseable QASM is admitted (content is inspected in the job,
-        # not the accept path) but fails structurally, not silently.
-        job_id = client.submit("OPENQASM 2.0;\nnot a gate;")
-        reply = client.wait(job_id, timeout=60.0)
-        assert reply["state"] == "failed"
-        assert reply["error"]["kind"] == "invalid_request"
+        # Unparseable QASM — or a gate parameter that overflows to inf —
+        # is admitted (content is inspected in the job, not the accept
+        # path) but fails structurally, not silently.
+        for bad_qasm in (
+            "OPENQASM 2.0;\nnot a gate;",
+            "OPENQASM 2.0;\nqreg q[1];\nrz(1e309) q[0];",
+        ):
+            job_id = client.submit(bad_qasm)
+            reply = client.wait(job_id, timeout=60.0)
+            assert reply["state"] == "failed", bad_qasm
+            assert reply["error"]["kind"] == "invalid_request", bad_qasm
 
 
 def test_wait_for_unknown_job_is_an_error(tmp_path):

@@ -9,6 +9,7 @@ from repro.circuits import Circuit, gate_matrix, random_unitary
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
 from repro.sim import circuit_unitary
+from repro.synthesis.instantiate import InstantiationResult
 from repro.synthesis import (
     LeapConfig,
     build_leap_ansatz,
@@ -34,6 +35,17 @@ class TestInstantiate:
         assert result.distance == pytest.approx(
             np.sqrt(1.0 - overlap**2), abs=1e-12
         )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_distance_rejects_non_finite_cost(self, rng):
+        result = InstantiationResult(params=np.zeros(3), cost=float("nan"))
+        with pytest.raises(SynthesisError, match="not finite"):
+            result.distance
+        # The multistart loop must not clamp a NaN cost to 0.0 first.
+        poisoned = np.full((4, 4), np.nan, dtype=complex)
+        fit = instantiate(build_leap_ansatz(2, []), poisoned, rng=rng, starts=1)
+        with pytest.raises(SynthesisError, match="not finite"):
+            fit.distance
 
     def test_warm_start_used(self, rng):
         ansatz = build_leap_ansatz(2, [(0, 1)])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import qft, tfim
-from repro.circuits import Circuit, circuit_from_qasm, circuit_to_qasm, random_circuit
+from repro.circuits import Circuit, Gate, Operation, circuit_to_qasm, random_circuit
 from repro.core import QuestConfig, run_quest
 from repro.exceptions import CertificationError
 from repro.metrics.tolerances import CERTIFICATION_SLACK
@@ -234,11 +234,29 @@ def test_non_finite_operator_entries_are_refused(value, where):
         independent_hs_distance(tampered, np.eye(2))
 
 
+def _forged(circuit: Circuit, site: int, angle: float) -> Circuit:
+    """``circuit`` with operation ``site``'s first angle set to ``angle``.
+
+    The IR refuses a non-finite angle at construction (``Gate`` raises
+    ``GateError``), but unpickling a corrupt artifact skips that check;
+    the certifier must still refuse such a circuit, so the gate is
+    forged the way an unpickled one would arrive.
+    """
+    ops = list(circuit.operations)
+    gate = Gate(ops[site].gate.name, ops[site].gate.params)
+    object.__setattr__(gate, "params", (angle, *gate.params[1:]))
+    tampered = _rebuild(circuit, ops[:site])
+    tampered.append(Operation(gate, ops[site].qubits))
+    for op in ops[site + 1 :]:
+        tampered.append(op)
+    return tampered
+
+
 def _overflowing_rotation() -> Circuit:
-    # ``1e309`` parses to inf, so the rotation's matrix is all NaN.
-    return circuit_from_qasm(
-        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nrz(1e309) q[0];\n'
-    )
+    # An infinite angle makes the rotation's matrix all NaN.
+    rotation = Circuit(1)
+    rotation.rz(0.0, 0)
+    return _forged(rotation, 0, float("1e309"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -270,7 +288,7 @@ def test_certify_result_never_certifies_a_non_finite_member(quest_run):
         baseline=result.baseline,
         pools=result.pools,
         selection=SimpleNamespace(choices=result.selection.choices[:1]),
-        circuits=[_nudge(stitched, site, float("inf"))],
+        circuits=[_forged(stitched, site, float("inf"))],
     )
     with pytest.raises(CertificationError, match="refusing to certify"):
         certify_result(poisoned, block_qubits=2)

@@ -306,8 +306,11 @@ def test_independent_validation_rejects_a_non_finite_rebuild():
     # overflowing angle used to pass against a finite recorded unitary.
     pool = exact_pool(CircuitBlock(index=0, qubits=(0,), circuit=Circuit(1)))
     honest = pool.candidates[0]
+    # The IR refuses a non-finite angle at construction; a corrupt
+    # unpickled artifact skips that check, so forge the gate that way.
     overflowing = Circuit(1)
-    overflowing.rz(float("1e309"), 0)
+    overflowing.rz(0.0, 0)
+    object.__setattr__(overflowing.operations[0].gate, "params", (float("1e309"),))
     with pytest.raises(ValidationError, match="non-finite"):
         validate_candidate_unitary(
             honest.unitary,
