@@ -65,7 +65,7 @@ class BatchResult:
     """Everything a batch compilation produced.
 
     ``results`` preserves input order regardless of completion order.
-    The dedup/pool/shm counters aggregate over every circuit and are
+    The dedup/pool counters aggregate over every circuit and are
     what the throughput benchmark asserts on; the per-run ones are
     views over the merged ``metrics`` snapshot.
     """
@@ -93,10 +93,6 @@ class BatchResult:
     cache_hits = counter_view(
         "cache.hit", "Blocks served from the shared cache (memory or disk)."
     )
-    shm_bytes_saved = counter_view(
-        "shm.bytes_saved",
-        "Array bytes that rode shared memory instead of the result pipe.",
-    )
 
     def summary(self) -> str:
         """One-line human-readable batch summary."""
@@ -113,8 +109,6 @@ class BatchResult:
                 f"; worker pool created {self.pools_created}x, "
                 f"reused {self.pool_reuses} rounds"
             )
-        if self.shm_bytes_saved:
-            text += f"; {self.shm_bytes_saved} bytes via shared memory"
         return text
 
 
@@ -240,7 +234,6 @@ def run_quest_batch(
             "batch.circuits": len(circuits),
             "batch.dedup_joins": counters.get("dedup.hits", 0),
             "batch.inflight_joins": batch.inflight_joins,
-            "batch.shm_bytes_saved": counters.get("shm.bytes_saved", 0),
         },
         "gauges": {"batch.pool_reuses": batch.pool_reuses},
     }

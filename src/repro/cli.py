@@ -169,14 +169,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "different namespaces never mix (default 'default')",
     )
     parser.add_argument(
-        "--shm-transport",
-        action="store_true",
-        help="move candidate arrays from worker processes through "
-        "checksummed shared-memory envelopes instead of the result "
-        "pipe (workers > 1 only; falls back to pickle when shared "
-        "memory is unavailable)",
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         type=Path,
         default=None,
@@ -389,10 +381,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "namespace nor a tenant-derived one (default 'default')",
     )
     parser.add_argument(
-        "--shm-transport", action="store_true",
-        help="ship worker results through shared memory",
-    )
-    parser.add_argument(
         "--retry-attempts", type=_positive_int, default=2,
         help="default synthesis attempts per block",
     )
@@ -536,7 +524,6 @@ def _serve_main(argv: list[str]) -> int:
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
-        shm_transport=args.shm_transport,
         retry_attempts=args.retry_attempts,
         retry_backoff_seconds=args.retry_backoff,
     )
@@ -832,7 +819,6 @@ def _config_from_args(args) -> QuestConfig:
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
-        shm_transport=args.shm_transport,
         checkpoint_dir=(
             None if args.checkpoint_dir is None else str(args.checkpoint_dir)
         ),

@@ -95,13 +95,6 @@ class QuestConfig:
     #: Tenant namespace inside the artifact store; entries of different
     #: namespaces never mix even when their content keys collide.
     namespace: str = "default"
-    #: Ship candidate arrays from workers through checksummed
-    #: shared-memory envelopes instead of the result pipe (workers > 1
-    #: only; falls back to pickle where shared memory is unavailable).
-    shm_transport: bool = False
-    #: Array-bytes threshold below which the shm transport keeps the
-    #: plain pickle (None = repro.batch.shm.DEFAULT_MIN_BYTES).
-    shm_min_bytes: int | None = None
     #: Directory for the crash-recovery run journal (None = no journal).
     #: Completed block pools persist there atomically; a rerun with the
     #: same circuit/config resumes from them (see repro.resilience).
@@ -547,8 +540,6 @@ def _run_pipeline(
             independent_validation=config.certify_candidates,
             worker_pool=getattr(shared, "worker_pool", None),
             inflight=getattr(shared, "inflight", None),
-            shm_transport=config.shm_transport,
-            shm_min_bytes=config.shm_min_bytes,
         )
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds

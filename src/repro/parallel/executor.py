@@ -54,9 +54,9 @@ Worker processes live in a :class:`~repro.parallel.pool_manager.
 PersistentWorkerPool` that is reused across retry rounds (and, when the
 batch driver supplies one, across circuits); a round that observes a
 hung or killed worker marks the pool for recycling rather than paying
-construction every round.  With ``shm_transport`` the candidate arrays
-come home through checksummed shared-memory envelopes
-(:mod:`repro.batch.shm`) instead of the result pipe.
+construction every round.  A pooled attempt's solutions come home
+through the pool's result pipe; the parent builds every candidate
+unitary itself when it assembles the pool.
 """
 
 from __future__ import annotations
@@ -210,12 +210,10 @@ def _observed_task(*args):
 def _inline_attempt(args, timeout):
     """Run one attempt in the parent under the cooperative deadline.
 
-    Returns ``(solutions, elapsed, unitaries)`` like a pooled fetch; the
-    inline path never ships unitaries.
+    Returns ``(solutions, elapsed)`` like a pooled fetch.
     """
     with block_deadline(timeout):
-        solutions, elapsed = _attempt(*args)
-    return solutions, elapsed, None
+        return _attempt(*args)
 
 
 def _replay_observed(observed) -> None:
@@ -225,35 +223,16 @@ def _replay_observed(observed) -> None:
     get_metrics().merge(snapshot)
 
 
-def _discard_late_envelope(future) -> None:
-    """Done-callback for abandoned (timed-out) shm tasks.
-
-    The driver gave up on this future; if the worker nonetheless
-    finishes and hands back an envelope, unlink its segment so abandoned
-    results cannot accumulate in ``/dev/shm``.
-    """
-    try:
-        envelope = future.result(timeout=0)
-    except Exception:
-        return
-    from repro.batch.shm import discard_envelope
-
-    discard_envelope(envelope)
-
-
 def assemble_pool(
     block: CircuitBlock,
     solutions: list[SynthesisSolution],
     config,
     seed: int,
-    solution_unitaries=None,
 ) -> BlockPool:
     """Build the block's candidate pool from raw LEAP solutions.
 
     Runs in the parent process: the pool embeds the (position-specific)
     block, so only the solutions themselves are shareable across blocks.
-    ``solution_unitaries`` optionally reuses worker-instantiated
-    matrices shipped through the shared-memory transport.
     """
     # No single block may eat more than its per-block share of the total
     # threshold — the per-block analogue of Algorithm 1's rejection line.
@@ -262,7 +241,6 @@ def assemble_pool(
         solutions,
         max_candidates=config.max_candidates_per_block,
         distance_cap=config.threshold_per_block,
-        solution_unitaries=solution_unitaries,
     )
     if config.sphere_variants_per_count > 0:
         augment_with_sphere_variants(
@@ -329,7 +307,6 @@ class _RunState:
     #: Entry key -> (first block index, block, canonical seed).
     jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
     resolved: dict[str, list[SynthesisSolution]] = field(default_factory=dict)
-    unitaries: dict[str, list] = field(default_factory=dict)
     #: Entry key -> attempt that resolved it (journal restores absent).
     resolved_attempt: dict[str, int] = field(default_factory=dict)
     #: Entry key -> the last failed attempt's exception.
@@ -402,13 +379,6 @@ class BlockSynthesisExecutor:
         for cross-executor dedup: blocks whose entry key another
         executor already has in flight join that job instead of racing
         it to a cache miss.
-    shm_transport:
-        Ship worker results through checksummed shared-memory envelopes
-        (:mod:`repro.batch.shm`) instead of pickling candidate arrays
-        through the result pipe.  Ignored on the inline path.
-    shm_min_bytes:
-        Array-bytes threshold below which the shm transport falls back
-        to an inline pickle (default ``DEFAULT_MIN_BYTES``).
     """
 
     def __init__(
@@ -424,8 +394,6 @@ class BlockSynthesisExecutor:
         independent_validation: bool = False,
         worker_pool: PersistentWorkerPool | None = None,
         inflight=None,
-        shm_transport: bool = False,
-        shm_min_bytes: int | None = None,
         sleep_fn=None,
         backoff_rng=None,
     ) -> None:
@@ -446,10 +414,6 @@ class BlockSynthesisExecutor:
         #: Shared :class:`~repro.batch.workqueue.InflightRegistry`, or
         #: None for solo runs (no cross-executor dedup).
         self.inflight = inflight
-        #: Ship worker results through shared-memory envelopes
-        #: (:mod:`repro.batch.shm`); ignored on the inline path.
-        self.shm_transport = bool(shm_transport)
-        self.shm_min_bytes = shm_min_bytes
         #: Injectable clock sleep for the retry backoff (tests pin the
         #: schedule under a fake clock); the backoff RNG is separate
         #: from every synthesis RNG, so jitter cannot perturb results.
@@ -691,64 +655,45 @@ class BlockSynthesisExecutor:
         merely raised — are reused across rounds and, in batch mode,
         across circuits.
         """
-        if self.shm_transport:
-            from repro.batch.shm import DEFAULT_MIN_BYTES, shm_synthesis_task
-
-            min_bytes = (
-                DEFAULT_MIN_BYTES
-                if self.shm_min_bytes is None
-                else self.shm_min_bytes
-            )
         pool_manager.begin_round()
-        fetches = {}
-        for key, args in round_args.items():
-            if self.shm_transport:
-                future = pool_manager.submit(
-                    shm_synthesis_task, _observed_task, min_bytes, *args
-                )
-            else:
-                future = pool_manager.submit(_observed_task, *args)
-            fetches[key] = partial(self._fetch, pool_manager, future, timeout)
-        return fetches
+        return {
+            key: partial(
+                self._fetch,
+                pool_manager,
+                pool_manager.submit(_observed_task, *args),
+                timeout,
+            )
+            for key, args in round_args.items()
+        }
 
     def _fetch(self, pool_manager, future, timeout):
-        """Await one pooled attempt: ``(solutions, elapsed, unitaries)``.
+        """Await one pooled attempt: ``(solutions, elapsed)``.
 
         A future timeout surfaces as :class:`BlockTimeoutError`, the
         same failure the inline deadline raises.
         """
         try:
-            payload = future.result(timeout=timeout)
+            solutions, elapsed, observed = future.result(timeout=timeout)
         except FutureTimeoutError as exc:
             future.cancel()
             # The hung worker still occupies its process; flag the pool
             # so the next submission recycles it.
             pool_manager.mark_unhealthy()
-            if self.shm_transport:
-                # Should the abandoned task ever finish, unlink its
-                # segment instead of leaking it in /dev/shm.
-                future.add_done_callback(_discard_late_envelope)
             raise BlockTimeoutError(f"hard timeout after {timeout}s") from exc
         except BrokenExecutor:  # worker process died
             pool_manager.mark_unhealthy()
             raise
-        unitaries = None
-        if self.shm_transport:
-            from repro.batch.shm import decode_payload
-
-            payload, unitaries = decode_payload(payload)
-        solutions, elapsed, observed = payload
         # Replay before validation: worker-side events must land in the
         # trace even when the returned candidates are quarantined.
         _replay_observed(observed)
-        return solutions, elapsed, unitaries
+        return solutions, elapsed
 
     def _land(self, run: _RunState, key, attempt, fetch, claimed) -> bool:
         """Land one attempt: run ``fetch``, validate what it returns, and
         record the outcome.  Returns whether the job succeeded."""
         index, block, seed = run.jobs[key]
         try:
-            solutions, elapsed, unitaries = fetch()
+            solutions, elapsed = fetch()
             if self.validate:
                 validate_solutions(
                     block.unitary(),
@@ -770,8 +715,6 @@ class BlockSynthesisExecutor:
             run.failures[key] = exc
             return False
         run.resolved[key] = solutions
-        if unitaries is not None:
-            run.unitaries[key] = unitaries
         run.stats.block_seconds[index] = elapsed
         # Recorded as each job lands (not at round end), so a crash
         # mid-round has already journaled every finished block.
@@ -781,9 +724,7 @@ class BlockSynthesisExecutor:
             # interchangeable with a solo run's, so only those are
             # shared with joiners.
             if run.policy.is_baseline_attempt(seed, attempt, run.base_budget):
-                self.inflight.publish(
-                    key, run.claim_token, solutions, unitaries
-                )
+                self.inflight.publish(key, run.claim_token, solutions)
             else:
                 self.inflight.fail(key, run.claim_token)
         self._journal_blocks(run, key)
@@ -811,8 +752,6 @@ class BlockSynthesisExecutor:
         for key, (entry, job) in joined.items():
             if self.inflight.wait_for(entry, timeout):
                 run.resolved[key] = entry.solutions
-                if entry.unitaries is not None:
-                    run.unitaries[key] = entry.unitaries
                 # Published results are baseline by construction, so
                 # they stay cache-writable under the plain entry key.
                 run.resolved_attempt[key] = 0
@@ -877,10 +816,5 @@ class BlockSynthesisExecutor:
                 continue
             if self.journal is not None and index not in run.journaled:
                 self.journal.store_pool(index, plan.key, solutions)
-            pools.append(
-                assemble_pool(
-                    block, solutions, run.config, plan.seed,
-                    solution_unitaries=run.unitaries.get(plan.key),
-                )
-            )
+            pools.append(assemble_pool(block, solutions, run.config, plan.seed))
         return pools

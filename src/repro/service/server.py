@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import signal
 import threading
@@ -628,7 +629,11 @@ class QuestService:
         if deadline_seconds is not None:
             try:
                 deadline_at = self._clock() + float(deadline_seconds)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
+                deadline_at = math.nan
+            if not math.isfinite(deadline_at):
+                # NaN never compares expired and inf never expires, so
+                # either would silently run the job unbounded.
                 return rejection_to_message(AdmissionRejected(
                     REJECT_INVALID_REQUEST,
                     f"bad deadline_seconds {deadline_seconds!r}",

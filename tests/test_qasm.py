@@ -15,7 +15,7 @@ from repro.circuits import (
     circuit_to_qasm,
     random_circuit,
 )
-from repro.exceptions import QasmError
+from repro.exceptions import QasmError, ReproError
 
 
 def test_roundtrip_simple(bell_circuit):
@@ -116,6 +116,55 @@ def test_parse_rejects_non_finite_parameter():
     # 1e309 overflows to inf; the reader must not store it.
     with pytest.raises(QasmError, match=r"rz\(1e309\) q\[0\]"):
         circuit_from_qasm("qreg q[1]; rz(1e309) q[0];")
+
+
+def test_parse_rejects_unevaluable_parameter_expression():
+    # Float ``**`` raises OverflowError instead of returning inf, a huge
+    # integer literal cannot convert to float at all, and a long unary
+    # chain exhausts the recursion limit.
+    for expression in ("2.0**2000", "10**400", "1" + "0" * 400, "-" * 5000 + "1"):
+        with pytest.raises(QasmError):
+            circuit_from_qasm(f"qreg q[1]; rz({expression}) q[0];")
+
+
+_ATOMS = st.one_of(
+    st.just("pi"),
+    st.integers(0, 2000).map(str),
+    st.sampled_from(["0.5", "2.0", "1e-300", "1e300", "1e308", "0.0"]),
+)
+
+
+@st.composite
+def _parameter_expressions(draw):
+    """Flat ``[-]atom (op [-]atom)*`` expressions; the statement grammar
+    admits no parentheses, so this is every shape a parameter can take."""
+    terms = draw(st.lists(st.tuples(st.booleans(), _ATOMS), min_size=1, max_size=5))
+    ops = draw(
+        st.lists(
+            st.sampled_from(["+", "-", "*", "/", "**"]),
+            min_size=len(terms) - 1,
+            max_size=len(terms) - 1,
+        )
+    )
+    text = ("-" if terms[0][0] else "") + terms[0][1]
+    for op, (negate, atom) in zip(ops, terms[1:]):
+        text += f" {op} " + ("-" if negate else "") + atom
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expressions=st.lists(_parameter_expressions(), min_size=1, max_size=3))
+def test_parameter_expressions_fail_closed(expressions):
+    """Any parameter expression parses to finite angles or raises a
+    library error; nothing else escapes the reader."""
+    gate = {1: "rz", 2: "u2", 3: "u3"}[len(expressions)]
+    text = f"qreg q[1]; {gate}({', '.join(expressions)}) q[0];"
+    try:
+        circuit = circuit_from_qasm(text)
+    except ReproError:
+        return
+    for op in circuit.operations:
+        assert all(math.isfinite(p) for p in op.gate.params), text
 
 
 def test_parse_rejects_bad_measure():

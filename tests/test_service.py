@@ -207,6 +207,7 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             lambda: client.submit(qasm, config={"no_such_field": 1}),
             lambda: client.submit(qasm, config={"workers": 8}),
             lambda: client.submit(qasm, deadline_seconds="soon"),
+            lambda: client.submit(qasm, deadline_seconds="nan"),
         ):
             with pytest.raises(AdmissionRejected) as excinfo:
                 bad_submit()
@@ -217,6 +218,7 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
         for bad_qasm in (
             "OPENQASM 2.0;\nnot a gate;",
             "OPENQASM 2.0;\nqreg q[1];\nrz(1e309) q[0];",
+            "OPENQASM 2.0;\nqreg q[1];\nrz(2.0**2000) q[0];",
         ):
             job_id = client.submit(bad_qasm)
             reply = client.wait(job_id, timeout=60.0)

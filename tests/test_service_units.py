@@ -299,6 +299,9 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
     base = QuestConfig()
     with pytest.raises(ServiceError, match="unknown QuestConfig field"):
         merge_config(base, {"no_such_knob": 1})
+    # A removed knob is just another unknown field.
+    with pytest.raises(ServiceError, match="unknown QuestConfig field"):
+        merge_config(base, {"shm_transport": True})
     with pytest.raises(ServiceError, match="substrate-owned"):
         merge_config(base, {"workers": 8})
     with pytest.raises(ServiceError, match="substrate-owned"):
