@@ -10,7 +10,12 @@ Builds a 14-block TFIM-8 partition with a two-candidate pool per block
   on the same pools and asserts the selected choice vectors are
   identical;
 * times both scorers over the full 2^14-point search space and asserts
-  the batched path delivers >= 10x objective-evaluation throughput.
+  the batched path delivers >= 10x objective-evaluation throughput;
+* forces the annealed path (``exhaustive_cutoff=0``) on the same pools
+  and drives scipy's ``dual_annealing`` with the frozen scalar objective
+  (through a floor-and-clip decode) and with the table-driven objective
+  under the same per-round seeds, asserting identical choices and
+  objective values and recording both selection times.
 
 Results are recorded to ``BENCH_selection.json`` at the repo root.
 """
@@ -23,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 from conftest import print_table
+from scipy.optimize import dual_annealing
 
 from repro.algorithms import tfim
 from repro.circuits import Circuit
@@ -38,6 +44,8 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_selection.json"
 
 MAX_SAMPLES = 4
 THRESHOLD_PER_BLOCK = 0.2
+#: ``select_approximations``' default annealer iteration count.
+ANNEAL_MAXITER = 250
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +157,41 @@ def _seed_select(objective, sizes, max_samples):
         choices.append(choice)
         objective.selected.append(choice)
     return choices
+
+
+def _seed_anneal_select(objective, sizes, max_samples, maxiter, seed):
+    """The selection loop on the annealed path, scored by the frozen
+    scalar objective: same bounds, start point and per-round seeds as
+    ``select_approximations``."""
+    sizes = np.array(sizes)
+
+    def decode(x):
+        return np.clip(np.floor(x).astype(int), 0, sizes - 1)
+
+    choices, values = [], []
+    objective.selected.clear()
+    run_seeds = np.random.SeedSequence(seed).spawn(max_samples)
+    for run_seed in run_seeds:
+        annealed = dual_annealing(
+            lambda x: objective(decode(x)),
+            bounds=[(0.0, size - 1e-9) for size in sizes],
+            maxiter=maxiter,
+            seed=np.random.default_rng(run_seed),
+            no_local_search=True,
+            x0=np.full(len(sizes), 0.5),
+        )
+        choice = decode(annealed.x)
+        if objective.choice_bound(choice) > objective.threshold:
+            if choices:
+                break
+            choice = np.zeros(len(sizes), dtype=int)
+        value = objective(choice)
+        if any(np.array_equal(choice, prior) for prior in choices):
+            break
+        choices.append(choice)
+        values.append(value)
+        objective.selected.append(choice)
+    return choices, values
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +317,41 @@ def test_selection_scaling_smoke():
 
     assert throughput_speedup >= 10.0
 
+    # --- Annealed path: frozen scalar objective vs table scorer --------
+    frozen = _SeedObjective(pools, threshold, original_cnots)
+    start = time.perf_counter()
+    frozen_choices, frozen_values = _seed_anneal_select(
+        frozen, sizes, MAX_SAMPLES, ANNEAL_MAXITER, seed=0
+    )
+    frozen_anneal_seconds = time.perf_counter() - start
+    objective.selected.clear()
+    start = time.perf_counter()
+    annealed = select_approximations(
+        objective, max_samples=MAX_SAMPLES, maxiter=ANNEAL_MAXITER, seed=0,
+        exhaustive_cutoff=0,
+    )
+    table_anneal_seconds = time.perf_counter() - start
+    annealed_identical = (
+        len(frozen_choices) == annealed.num_selected
+        and all(
+            np.array_equal(a, b)
+            for a, b in zip(frozen_choices, annealed.choices)
+        )
+        and frozen_values == annealed.objective_values
+    )
+    assert annealed_identical
+    print_table(
+        f"Annealed selection (maxiter={ANNEAL_MAXITER}, "
+        f"{annealed.num_selected} selected, "
+        f"{annealed.scalar_evaluations} scalar evaluations)",
+        ["objective", "seconds", "speedup"],
+        [
+            ["frozen scalar", f"{frozen_anneal_seconds:.3f}", ""],
+            ["score tables", f"{table_anneal_seconds:.3f}",
+             f"{frozen_anneal_seconds / table_anneal_seconds:.2f}x"],
+        ],
+    )
+
     RESULTS_PATH.write_text(
         json.dumps(
             {
@@ -297,6 +375,17 @@ def test_selection_scaling_smoke():
                     "scalar": result.scalar_evaluations,
                     "batched": result.batched_evaluations,
                 },
+                "annealed_maxiter": ANNEAL_MAXITER,
+                "annealed_frozen_selection_seconds": frozen_anneal_seconds,
+                "annealed_table_selection_seconds": table_anneal_seconds,
+                "annealed_selection_speedup": (
+                    frozen_anneal_seconds / table_anneal_seconds
+                ),
+                "annealed_choices_identical": bool(annealed_identical),
+                "annealed_selected_cnot_counts": [
+                    int(count) for count in annealed.cnot_counts
+                ],
+                "annealed_scalar_evaluations": annealed.scalar_evaluations,
             },
             indent=2,
         )

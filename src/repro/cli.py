@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
 from repro.core import QuestConfig, run_quest
-from repro.exceptions import ArrayBackendError, ReproError, StoreError
+from repro.exceptions import ArrayBackendError, ConfigError, ReproError, StoreError
 from repro.linalg.array_api import BACKEND_NAMES, get_backend
 from repro.noise import NOISE_ENGINES
 from repro.observability import (
@@ -513,20 +513,24 @@ def _serve_main(argv: list[str]) -> int:
     except StoreError as exc:
         logger.error(f"error: --namespace: {exc}")
         return 2
-    config = QuestConfig(
-        seed=args.seed,
-        max_samples=args.max_samples,
-        max_block_qubits=args.block_qubits,
-        threshold_per_block=args.threshold,
-        block_time_budget=args.time_budget,
-        workers=args.workers,
-        cache=not args.no_cache,
-        cache_max_entries=args.cache_max_entries,
-        store_dir=None if args.store_dir is None else str(args.store_dir),
-        namespace=args.namespace,
-        retry_attempts=args.retry_attempts,
-        retry_backoff_seconds=args.retry_backoff,
-    )
+    try:
+        config = QuestConfig(
+            seed=args.seed,
+            max_samples=args.max_samples,
+            max_block_qubits=args.block_qubits,
+            threshold_per_block=args.threshold,
+            block_time_budget=args.time_budget,
+            workers=args.workers,
+            cache=not args.no_cache,
+            cache_max_entries=args.cache_max_entries,
+            store_dir=None if args.store_dir is None else str(args.store_dir),
+            namespace=args.namespace,
+            retry_attempts=args.retry_attempts,
+            retry_backoff_seconds=args.retry_backoff,
+        )
+    except ConfigError as exc:
+        logger.error(f"error: {exc}")
+        return 2
     try:
         serve(
             str(args.socket),
@@ -806,30 +810,35 @@ def _trace_summary_main(argv: list[str]) -> int:
     return 0
 
 
-def _config_from_args(args) -> QuestConfig:
-    """Build the QuestConfig both compile entry points share."""
-    return QuestConfig(
-        seed=args.seed,
-        max_samples=args.max_samples,
-        max_block_qubits=args.block_qubits,
-        threshold_per_block=args.threshold,
-        block_time_budget=args.time_budget,
-        workers=args.workers,
-        cache=not args.no_cache,
-        cache_max_entries=args.cache_max_entries,
-        store_dir=None if args.store_dir is None else str(args.store_dir),
-        namespace=args.namespace,
-        checkpoint_dir=(
-            None if args.checkpoint_dir is None else str(args.checkpoint_dir)
-        ),
-        retry_attempts=args.retry_attempts,
-        retry_budget_multiplier=args.retry_budget_multiplier,
-        retry_backoff_seconds=args.retry_backoff,
-        certify=args.certify,
-        certify_candidates=args.certify_candidates,
-        noise_engine=args.noise_engine,
-        array_backend=args.array_backend,
-    )
+def _config_from_args(args, logger):
+    """The QuestConfig both compile entry points share; returns
+    ``(config, exit_code)``, exit_code 2 on an invalid value."""
+    try:
+        return QuestConfig(
+            seed=args.seed,
+            max_samples=args.max_samples,
+            max_block_qubits=args.block_qubits,
+            threshold_per_block=args.threshold,
+            block_time_budget=args.time_budget,
+            workers=args.workers,
+            cache=not args.no_cache,
+            cache_max_entries=args.cache_max_entries,
+            store_dir=None if args.store_dir is None else str(args.store_dir),
+            namespace=args.namespace,
+            checkpoint_dir=(
+                None if args.checkpoint_dir is None else str(args.checkpoint_dir)
+            ),
+            retry_attempts=args.retry_attempts,
+            retry_budget_multiplier=args.retry_budget_multiplier,
+            retry_backoff_seconds=args.retry_backoff,
+            certify=args.certify,
+            certify_candidates=args.certify_candidates,
+            noise_engine=args.noise_engine,
+            array_backend=args.array_backend,
+        ), 0
+    except ConfigError as exc:
+        logger.error(f"error: {exc}")
+        return None, 2
 
 
 def _compile_preflight(args, logger) -> int:
@@ -915,7 +924,9 @@ def _compile_batch_main(argv: list[str]) -> int:
     fault_injector, code = _parse_fault_injector(args, logger)
     if code:
         return code
-    config = _config_from_args(args)
+    config, code = _config_from_args(args, logger)
+    if code:
+        return code
     tracer = None
     if args.trace_file is not None:
         try:
@@ -1000,6 +1011,9 @@ def main(argv: list[str] | None = None) -> int:
     fault_injector, code = _parse_fault_injector(args, logger)
     if code:
         return code
+    config, code = _config_from_args(args, logger)
+    if code:
+        return code
     tracer = None
     if args.trace_file is not None:
         try:
@@ -1007,7 +1021,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             logger.error(f"error: --trace-file {args.trace_file}: {exc}")
             return 2
-    config = _config_from_args(args)
     try:
         result = run_quest(
             circuit,

@@ -9,11 +9,14 @@ engine returns an already-selected circuit.
 Small search spaces skip the annealer entirely: they are enumerated
 exactly, in chunks, through the objective's batched scorer — which is why
 the exhaustive cutoff can sit at 65536 points instead of the few hundred
-a per-point Python loop could afford.
+a per-point Python loop could afford.  Larger spaces anneal one point per
+objective call, each a clip and three gathers over the round's score
+tables, so most of an annealed round is scipy's own visiting step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,15 +57,6 @@ class SelectionResult:
     def objective_evaluations(self) -> int:
         """Total points scored (scalar + batched)."""
         return self.scalar_evaluations + self.batched_evaluations
-
-
-def _search_space_size(objective: SelectionObjective) -> int:
-    size = 1
-    for pool in objective.pools:
-        size *= pool.size
-        if size > 10**9:
-            break
-    return size
 
 
 def _enumerate_chunk(
@@ -117,10 +111,13 @@ def select_approximations(
     Search spaces no larger than ``exhaustive_cutoff`` are enumerated
     exactly instead of annealed (the annealer is a global-optimization
     heuristic; batched exact enumeration is both faster and
-    deterministic there).
+    deterministic there).  ``maxiter < 1`` is refused: scipy's annealer
+    never stops with an empty inner loop.
     """
     if max_samples < 1:
         raise SelectionError("max_samples must be positive")
+    if maxiter < 1:
+        raise SelectionError("maxiter must be positive")
     # Per-run annealer seeds are SeedSequence children rather than raw
     # ``rng.integers(2**31 - 1)`` draws: bounded integer draws collide
     # (birthday bound) and re-enter the PRNG through the weak
@@ -137,7 +134,9 @@ def select_approximations(
     objective.selected.clear()
     objective.scalar_evaluations = 0
     objective.batched_evaluations = 0
-    use_exhaustive = _search_space_size(objective) <= exhaustive_cutoff
+    use_exhaustive = (
+        math.prod(pool.size for pool in objective.pools) <= exhaustive_cutoff
+    )
     bounds = objective.bounds()
     for sample_index in range(max_samples):
         if use_exhaustive:

@@ -10,10 +10,14 @@ Scores a full-circuit approximation (one candidate chosen per block):
   similar to with the normalized CNOT count, weighted ``weight`` /
   ``1 - weight`` (0.5 each in the paper).
 
-Per-block CNOT counts and distances are padded into
-``(num_blocks, max_pool_size)`` matrices at construction, so both the
-single-point accessors and the batched ``evaluate_batch`` entry point
-are single fancy-indexed gathers instead of per-block Python loops.
+Scores are read from flat tables whose row ``b * width + i`` is
+candidate ``i`` of block ``b``: distance and CNOT rows built once, and
+an integer similarity-count table against the selected set (one column
+per prior), rebuilt whenever the selected set's values change.  A point
+is then a clip and three gathers, for annealer calls and
+``evaluate_batch`` rows alike, reduced in the direct formula's order
+(distance sum over blocks, exact integer hits per prior, ``/ num_blocks``,
+the length-``S`` float sum, ``/ S``), so every value is bit-identical.
 """
 
 from __future__ import annotations
@@ -55,17 +59,19 @@ class SelectionObjective:
                 [pool.original_unitary for pool in self.pools],
             )
         self._sizes = np.array([pool.size for pool in self.pools])
-        # Padded per-block tables: row b holds pool b's candidate values,
-        # padded to the widest pool.  Distance padding is +inf (a padded
-        # index, were one ever gathered, scores infeasible); CNOT padding
-        # is 0 and unreachable because choices are clipped to pool sizes.
-        max_size = int(self._sizes.max())
-        self._cnot_matrix = np.zeros((len(self.pools), max_size), dtype=np.int64)
-        self._distance_matrix = np.full((len(self.pools), max_size), np.inf)
-        for b, pool in enumerate(self.pools):
-            self._cnot_matrix[b, : pool.size] = pool.cnot_counts()
-            self._distance_matrix[b, : pool.size] = pool.distances()
-        self._block_index = np.arange(len(self.pools))
+        self._max_index = self._sizes - 1
+        # Flat per-block tables, padded to the widest pool: candidate i of
+        # block b is row _row_base[b] + i.  Distance padding is +inf (a
+        # padded row, were one ever gathered, scores infeasible); CNOT
+        # padding is 0 and unreachable because choices are clipped.
+        self._width = int(self._sizes.max())
+        self._row_base = np.arange(len(self.pools)) * self._width
+        self._cnot_rows = np.zeros(len(self.pools) * self._width, np.int64)
+        self._distance_rows = np.full(self._cnot_rows.size, np.inf)
+        for base, pool in zip(self._row_base, self.pools):
+            self._cnot_rows[base : base + pool.size] = pool.cnot_counts()
+            self._distance_rows[base : base + pool.size] = pool.distances()
+        self._prior_key, self._prior_rows = None, None
 
     @property
     def num_blocks(self) -> int:
@@ -78,61 +84,58 @@ class SelectionObjective:
 
     def decode(self, x: np.ndarray) -> np.ndarray:
         """Floor a continuous annealer point to an integer choice vector."""
-        choice = np.floor(np.asarray(x)).astype(int)
-        return np.clip(choice, 0, self._sizes - 1)
+        choice = np.floor(x).astype(np.intp)
+        return np.minimum(np.maximum(choice, 0), self._max_index)
 
     def choice_cnot_count(self, choice: np.ndarray) -> int:
         """Total CNOTs of the stitched approximation."""
-        return int(self._cnot_matrix[self._block_index, choice].sum())
+        rows = self._row_base + self.tables.validate_choices(choice)
+        return int(self._cnot_rows[rows].sum())
 
     def choice_bound(self, choice: np.ndarray) -> float:
         """Sec. 3.8 upper bound: sum of chosen block distances."""
-        return float(self._distance_matrix[self._block_index, choice].sum())
+        rows = self._row_base + self.tables.validate_choices(choice)
+        return float(self._distance_rows[rows].sum())
 
-    def selected_matrix(self) -> np.ndarray:
-        """The ``(S, num_blocks)`` stack of already-selected choices."""
-        return np.stack(self.selected)
+    def _similarity_fractions(self, rows: np.ndarray) -> np.ndarray:
+        """``(..., S)`` fractions of ``(..., num_blocks)`` flat rows.
 
-    def similarity_to_selected(self, choice: np.ndarray) -> float:
-        """Fraction of already-selected samples similar to ``choice``."""
-        if not self.selected:
-            return 0.0
-        fractions = self.tables.similarity_fractions(
-            choice, self.selected_matrix()
-        )
-        return float(fractions.sum()) / len(self.selected)
+        Keyed on the selected set's values, so appending to, replacing
+        or clearing ``selected`` never reads a stale table.
+        """
+        key = tuple(map(np.ndarray.tobytes, map(np.asarray, self.selected)))
+        if key != self._prior_key:
+            self._prior_rows = self.tables.prior_table(
+                np.array(self.selected), self._width
+            )
+            self._prior_key = key
+        return self._prior_rows[rows].sum(axis=-2) / self.num_blocks
 
     def __call__(self, x: np.ndarray) -> float:
-        choice = self.decode(x)
         self.scalar_evaluations += 1
-        if self.choice_bound(choice) > self.threshold:
+        rows = self._row_base + self.decode(x)
+        if self._distance_rows[rows].sum() > self.threshold:
             return 1.0
-        c_norm = self.choice_cnot_count(choice) / self.original_cnot_count
+        c_norm = int(self._cnot_rows[rows].sum()) / self.original_cnot_count
         if not self.selected:
             return c_norm
-        m = self.similarity_to_selected(choice)
+        m = float(self._similarity_fractions(rows).sum()) / len(self.selected)
         return self.weight * m + (1.0 - self.weight) * c_norm
 
     def evaluate_batch(self, choices: np.ndarray) -> np.ndarray:
         """Score a ``(B, num_blocks)`` matrix of integer choice vectors.
 
         Returns the length-``B`` vector of objective values; every row
-        matches ``__call__`` on that row exactly (same gathers, same
-        per-row reduction), so the exhaustive path and the annealed path
-        share one scoring implementation.
+        matches ``__call__`` on that row exactly (same tables, same
+        per-row reductions).
         """
-        choices = np.atleast_2d(np.asarray(choices, dtype=np.intp))
-        if choices.shape[1] != self.num_blocks:
-            raise SelectionError("choice matrix width != number of blocks")
+        choices = self.tables.validate_choices(np.atleast_2d(choices))
         self.batched_evaluations += choices.shape[0]
-        bounds = self._distance_matrix[self._block_index, choices].sum(axis=1)
-        cnots = self._cnot_matrix[self._block_index, choices].sum(axis=1)
-        values = cnots / self.original_cnot_count
+        rows = self._row_base + choices
+        bounds = self._distance_rows[rows].sum(axis=1)
+        values = self._cnot_rows[rows].sum(axis=1) / self.original_cnot_count
         if self.selected:
-            fractions = self.tables.similarity_fractions_batch(
-                choices, self.selected_matrix()
-            )
-            m = fractions.sum(axis=1) / len(self.selected)
+            m = self._similarity_fractions(rows).sum(axis=1) / len(self.selected)
             values = self.weight * m + (1.0 - self.weight) * values
         values[bounds > self.threshold] = 1.0
         return values

@@ -18,8 +18,10 @@ of every selected approximation.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from repro.circuits.circuit import Circuit
 from repro.core.annealing import SelectionResult, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool
-from repro.exceptions import SelectionError
+from repro.exceptions import ConfigError, SelectionError
 from repro.observability import (
     MetricsRegistry,
     counter_view,
@@ -139,6 +141,28 @@ class QuestConfig:
     #: Array library for the ``ptm`` engine (``numpy``/``cupy``/``torch``;
     #: None defers to ``$REPRO_ARRAY_BACKEND``, default numpy).
     array_backend: str | None = None
+
+    def __post_init__(self) -> None:
+        # Fail closed at construction, so the CLI, batch driver and daemon
+        # reject a bad value before synthesis: a NaN threshold disables
+        # the distance bound, and ``annealing_maxiter < 1`` never ends.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type.startswith("int") and value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+        for name in ("max_samples", "annealing_maxiter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, high, text in (
+            ("threshold_per_block", math.inf, ">= 0"), ("weight", 1.0, "in [0, 1]")
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                math.isfinite(value) and 0.0 <= value <= high
+            ):
+                raise ConfigError(f"{name} must be a finite number {text}, got {value!r}")
 
 
 @dataclass

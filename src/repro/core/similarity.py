@@ -86,12 +86,10 @@ class BlockSimilarityTables:
     """Precomputed per-block similarity lookups for the annealing objective.
 
     For every block, stores a boolean matrix ``similar[i, j]`` over its
-    candidate approximations; the per-block tables are additionally
-    packed into one flat array with per-block offsets, so scoring a
-    choice vector against a whole stack of prior selections is a single
-    fancy-indexed gather (the annealer calls the objective thousands of
-    times, and the batched exhaustive path scores thousands of choices
-    per call).
+    candidate approximations.  The objective scores against a whole
+    selected set through :meth:`prior_table`, built once per selected
+    set, so the annealer's thousands of calls per round never touch the
+    per-block matrices.
     """
 
     def __init__(
@@ -108,24 +106,16 @@ class BlockSimilarityTables:
                 raise SelectionError("block with no candidate approximations")
             stack = np.asarray(candidates, dtype=complex)
             self._tables.append(_block_table(stack, np.asarray(original)))
-        # Flat packed layout: block b's (count_b, count_b) table lives at
-        # _flat[_offsets[b] : _offsets[b] + count_b**2], row-major, so
-        # entry (i, j) is _flat[_offsets[b] + i * count_b + j].
         self._counts = np.array(
             [table.shape[0] for table in self._tables], dtype=np.intp
-        )
-        self._offsets = np.concatenate(
-            ([0], np.cumsum(self._counts * self._counts)[:-1])
-        ).astype(np.intp)
-        self._flat = np.concatenate(
-            [table.ravel() for table in self._tables]
         )
 
     def candidates_similar(self, block: int, i: int, j: int) -> bool:
         """Whether candidates ``i`` and ``j`` of ``block`` are similar."""
         return bool(self._tables[block][i, j])
 
-    def _validate_choices(self, choices: np.ndarray) -> np.ndarray:
+    def validate_choices(self, choices: np.ndarray) -> np.ndarray:
+        """``choices`` as an index array; raises unless every index is valid."""
         choices = np.asarray(choices, dtype=np.intp)
         if choices.shape[-1] != self.num_blocks:
             raise SelectionError("choice vector length != number of blocks")
@@ -137,39 +127,22 @@ class BlockSimilarityTables:
         self, choice_a: np.ndarray, choice_b: np.ndarray
     ) -> float:
         """Fraction of blocks whose chosen candidates are similar."""
-        choice_a = self._validate_choices(choice_a)
-        choice_b = self._validate_choices(choice_b)
-        hits = self._flat[
-            self._offsets + choice_a * self._counts + choice_b
-        ]
-        return int(hits.sum()) / self.num_blocks
+        choice_a = self.validate_choices(choice_a)
+        choice_b = self.validate_choices(choice_b)
+        hits = sum(
+            int(table[i, j])
+            for table, i, j in zip(self._tables, choice_a, choice_b)
+        )
+        return hits / self.num_blocks
 
-    def similarity_fractions(
-        self, choice: np.ndarray, priors: np.ndarray
-    ) -> np.ndarray:
-        """Similarity fraction of ``choice`` against each stacked prior.
-
-        ``priors`` is an ``(S, num_blocks)`` matrix of selected choice
-        vectors; the result is the length-``S`` vector of fractions, via
-        a single gather (no Python loop over priors).
+    def prior_table(self, priors: np.ndarray, width: int) -> np.ndarray:
+        """Int8 table: row ``b * width + i``, column ``s`` is 1 when
+        candidate ``i`` of block ``b`` is similar to the block-``b``
+        candidate of prior ``s`` (row ``s`` of ``(S, num_blocks)``
+        ``priors``); rows past a pool's size are 0.
         """
-        choice = self._validate_choices(choice)
-        priors = self._validate_choices(np.atleast_2d(priors))
-        cells = self._offsets + choice * self._counts  # (num_blocks,)
-        hits = self._flat[cells[None, :] + priors]  # (S, num_blocks)
-        return hits.sum(axis=1) / self.num_blocks
-
-    def similarity_fractions_batch(
-        self, choices: np.ndarray, priors: np.ndarray
-    ) -> np.ndarray:
-        """Fractions of every choice row against every prior row.
-
-        ``choices`` is ``(B, num_blocks)``, ``priors`` is
-        ``(S, num_blocks)``; returns the ``(B, S)`` fraction matrix in
-        one gather over the packed tables.
-        """
-        choices = self._validate_choices(np.atleast_2d(choices))
-        priors = self._validate_choices(np.atleast_2d(priors))
-        cells = self._offsets[None, :] + choices * self._counts  # (B, nb)
-        hits = self._flat[cells[:, None, :] + priors[None, :, :]]
-        return hits.sum(axis=2) / self.num_blocks
+        priors = self.validate_choices(np.atleast_2d(priors))
+        table = np.zeros((self.num_blocks, width, len(priors)), dtype=np.int8)
+        for block, similar in enumerate(self._tables):
+            table[block, : len(similar)] = similar[:, priors[:, block]]
+        return table.reshape(self.num_blocks * width, len(priors))

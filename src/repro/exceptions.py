@@ -90,6 +90,10 @@ class SelectionError(ReproError):
     """Raised by the QUEST approximation-selection engine."""
 
 
+class ConfigError(ReproError):
+    """Raised when a pipeline configuration holds an invalid value."""
+
+
 class ValidationError(ReproError):
     """Raised when a synthesis result fails its health check.
 

@@ -31,7 +31,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.core.quest import QuestConfig
-from repro.exceptions import AdmissionRejected, ServiceError
+from repro.exceptions import AdmissionRejected, ConfigError, ServiceError
 
 #: Bump on incompatible message-shape changes; both sides check it.
 PROTOCOL_VERSION = 1
@@ -103,7 +103,10 @@ def merge_config(base: QuestConfig, overrides: dict | None) -> QuestConfig:
             "substrate-owned QuestConfig field(s) cannot be set per "
             f"request: {', '.join(forbidden)}"
         )
-    return replace(base, **overrides)
+    try:
+        return replace(base, **overrides)
+    except ConfigError as exc:
+        raise ServiceError(f"invalid QuestConfig override: {exc}") from exc
 
 
 @dataclass

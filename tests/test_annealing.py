@@ -116,3 +116,17 @@ def test_annealer_path_matches_exhaustive():
 def test_bad_max_samples():
     with pytest.raises(SelectionError):
         select_approximations(_objective(), max_samples=0)
+
+
+@pytest.mark.parametrize("maxiter", [0, -3])
+def test_non_positive_maxiter_is_rejected_before_any_round(maxiter):
+    # scipy's dual_annealing never leaves its outer loop when the inner
+    # ``for i in range(maxiter)`` is empty, so this used to hang.
+    objective = _objective()
+    with pytest.raises(SelectionError, match="maxiter"):
+        select_approximations(
+            objective, max_samples=2, seed=0, exhaustive_cutoff=0,
+            maxiter=maxiter,
+        )
+    assert objective.scalar_evaluations == 0
+    assert objective.batched_evaluations == 0

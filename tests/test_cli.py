@@ -77,3 +77,17 @@ def test_cli_rejects_cnot_free_circuit(tmp_path, capsys):
     code = main([str(path)])
     assert code == 1
     assert "QUEST failed" in capsys.readouterr().err
+
+
+def test_cli_rejects_invalid_selection_numbers_before_synthesis(
+    tmp_path, capsys
+):
+    path = tmp_path / "tfim.qasm"
+    path.write_text(circuit_to_qasm(tfim(3, steps=1)))
+    for flags in (["--threshold", "nan"], ["--max-samples", "0"]):
+        for prefix in ([], ["compile-batch"]):
+            out_dir = tmp_path / "out"
+            code = main(prefix + [str(path), "--out-dir", str(out_dir)] + flags)
+            assert code == 2
+            assert "must be" in capsys.readouterr().err
+            assert not out_dir.exists()

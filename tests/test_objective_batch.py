@@ -17,6 +17,8 @@ fewer than 8 addends, so every comparison below is ``==``, not
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,3 +216,151 @@ def test_evaluation_counters_track_both_entry_points():
     objective.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]]))
     assert objective.batched_evaluations == 3
     assert objective.scalar_evaluations == 2
+
+
+# ----------------------------------------------------------------------
+# The per-round score tables vs. the direct scalar formula
+# ----------------------------------------------------------------------
+
+def direct_objective_value(
+    objective: SelectionObjective, tables: list[np.ndarray], x: np.ndarray
+) -> float:
+    """The scalar objective computed directly, block by block.
+
+    Decodes ``x`` with floor and clip, gathers each block's distance and
+    CNOT count into a vector and reduces it with numpy, counts each
+    prior's similar blocks as an integer, then ``/ num_blocks``, the
+    float sum over priors and ``/ S`` — the order the table-driven
+    scorer must reproduce bit for bit, at any block count.
+    """
+    sizes = np.array([pool.size for pool in objective.pools])
+    choice = np.clip(np.floor(np.asarray(x)).astype(int), 0, sizes - 1)
+    blocks = range(objective.num_blocks)
+    distances = np.array(
+        [objective.pools[b].distances()[choice[b]] for b in blocks]
+    )
+    if float(distances.sum()) > objective.threshold:
+        return 1.0
+    cnots = np.array(
+        [objective.pools[b].cnot_counts()[choice[b]] for b in blocks]
+    )
+    c_norm = int(cnots.sum()) / objective.original_cnot_count
+    if not objective.selected:
+        return c_norm
+    hits = np.array(
+        [
+            [tables[b][choice[b], int(prior[b])] for b in blocks]
+            for prior in objective.selected
+        ]
+    )
+    fractions = hits.sum(axis=1) / objective.num_blocks
+    m = float(fractions.sum()) / len(objective.selected)
+    return objective.weight * m + (1.0 - objective.weight) * c_norm
+
+
+def _continuous_pools(rng, pool_sizes):
+    """Pools with arbitrary (not grid) float distances."""
+    pools = _build_pools(rng, pool_sizes)
+    for pool in pools:
+        pool.candidates[1:] = [
+            replace(candidate, distance=float(rng.random() * 0.6))
+            for candidate in pool.candidates[1:]
+        ]
+    return pools
+
+
+@st.composite
+def scorer_instances(draw):
+    num_blocks = draw(st.integers(min_value=1, max_value=12))
+    pool_sizes = draw(
+        st.lists(st.integers(min_value=1, max_value=9),
+                 min_size=num_blocks, max_size=num_blocks)
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    threshold = draw(st.floats(min_value=0.0, max_value=3.0))
+    weight = draw(st.floats(min_value=0.0, max_value=1.0))
+    original_cnots = draw(st.integers(min_value=1, max_value=97))
+    num_selected = draw(st.integers(min_value=0, max_value=6))
+    tie = draw(st.booleans())
+    return (pool_sizes, seed, threshold, weight, original_cnots,
+            num_selected, tie)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(scorer_instances())
+def test_table_scorer_is_bit_identical_to_the_direct_formula(instance):
+    (pool_sizes, seed, threshold, weight, original_cnots,
+     num_selected, tie) = instance
+    rng = np.random.default_rng(seed)
+    pools = _continuous_pools(rng, pool_sizes)
+    objective = SelectionObjective(
+        pools=pools, threshold=threshold,
+        original_cnot_count=original_cnots, weight=weight,
+    )
+    tables = objective.tables._tables
+    for prior in _random_choices(rng, pool_sizes, num_selected):
+        objective.selected.append(prior.astype(int))
+    sizes = np.array(pool_sizes, dtype=float)
+    points = [rng.random(len(sizes)) * (sizes - 1e-9) for _ in range(16)]
+    # Beyond the annealer's box: decode clips these to the pool edges.
+    points += [np.full(len(sizes), -3.0), np.full(len(sizes), 99.0),
+               np.where(np.arange(len(sizes)) % 2, -0.5, sizes + 0.25)]
+    choices = np.array([objective.decode(x) for x in points])
+    if tie:
+        # A threshold equal to a point's bound: a distance sum reduced in
+        # any other order can land an ulp away and flip feasibility.
+        blocks = range(len(pools))
+        objective.threshold = float(np.array(
+            [pools[b].distances()[choices[0][b]] for b in blocks]
+        ).sum())
+    batched = objective.evaluate_batch(choices)
+    for row, x in enumerate(points):
+        value = objective(x)
+        expected = direct_objective_value(objective, tables, x)
+        assert float(value).hex() == float(expected).hex()
+        assert float(value).hex() == float(batched[row]).hex()
+
+
+def test_scores_follow_every_change_of_the_selected_set():
+    rng = np.random.default_rng(11)
+    pools = _continuous_pools(rng, [4, 3, 5, 2, 4, 3, 5, 4, 3])
+    objective = SelectionObjective(
+        pools=pools, threshold=10.0, original_cnot_count=30, weight=0.5
+    )
+    tables = objective.tables._tables
+    sizes = [pool.size for pool in pools]
+    points = [rng.random(len(sizes)) * (np.array(sizes) - 1e-9)
+              for _ in range(24)]
+
+    def assert_current():
+        batched = objective.evaluate_batch(
+            np.array([objective.decode(x) for x in points])
+        )
+        for row, x in enumerate(points):
+            expected = direct_objective_value(objective, tables, x)
+            assert objective(x) == expected
+            assert batched[row] == expected
+
+    assert_current()
+    first, second, third = _random_choices(rng, sizes, 3)
+    objective.selected.append(first)
+    assert_current()
+    objective.selected.append(second)
+    assert_current()
+    # A different list of the same length, replacing the old wholesale.
+    objective.selected = [third, first]
+    assert_current()
+    # The same list object, one entry overwritten in place.
+    objective.selected[0] = second
+    assert_current()
+    # The same array object, its choices overwritten in place.
+    objective.selected[1] = first.copy()
+    assert_current()
+    before = [objective(x) for x in points]
+    objective.selected[1][:] = third
+    assert_current()
+    assert [objective(x) for x in points] != before
+    objective.selected.clear()
+    assert_current()
+    objective.selected.append(third)
+    assert_current()

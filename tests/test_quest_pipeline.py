@@ -9,7 +9,7 @@ from repro import QuestConfig, ensemble_distribution, run_quest, tvd
 from repro.algorithms import tfim
 from repro.circuits import Circuit
 from repro.core.bounds import total_bound
-from repro.exceptions import SelectionError
+from repro.exceptions import ConfigError, SelectionError
 from repro.linalg import hs_distance
 from repro.sim import circuit_unitary, ideal_distribution
 
@@ -29,6 +29,31 @@ FAST = QuestConfig(
 @pytest.fixture(scope="module")
 def tfim_result():
     return run_quest(tfim(3, steps=2), FAST)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"annealing_maxiter": 0},
+        {"max_samples": 1.5},
+        {"annealing_maxiter": "40"},
+        {"workers": True},
+        {"seed": 1.0},
+        {"threshold_per_block": float("nan")},
+        {"weight": -0.5},
+    ],
+)
+def test_config_rejects_invalid_selection_numbers(overrides):
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        QuestConfig(**overrides)
+
+
+def test_config_accepts_integral_and_boundary_values():
+    config = QuestConfig(
+        max_samples=np.int64(1), annealing_maxiter=1, seed=None,
+        threshold_per_block=0, weight=1.0, cache_max_entries=None,
+    )
+    assert config.max_samples == 1
 
 
 def test_rejects_cnot_free_circuits():

@@ -208,6 +208,12 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             lambda: client.submit(qasm, config={"workers": 8}),
             lambda: client.submit(qasm, deadline_seconds="soon"),
             lambda: client.submit(qasm, deadline_seconds="nan"),
+            lambda: client.submit(qasm, config={"annealing_maxiter": 0}),
+            lambda: client.submit(
+                qasm, config={"threshold_per_block": float("nan")}
+            ),
+            lambda: client.submit(qasm, config={"max_samples": 1.5}),
+            lambda: client.submit(qasm, config={"annealing_maxiter": "40"}),
         ):
             with pytest.raises(AdmissionRejected) as excinfo:
                 bad_submit()

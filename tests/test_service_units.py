@@ -308,6 +308,25 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         merge_config(base, {"checkpoint_dir": "/tmp/x"})
     with pytest.raises(ServiceError, match="must be an object"):
         merge_config(base, ["not", "a", "dict"])
+    # Values QuestConfig itself rejects: a NaN threshold would silently
+    # disable the distance bound, maxiter <= 0 hangs the annealer, and
+    # wrongly typed numbers used to die as raw TypeErrors mid-job.
+    for bad in (
+        {"annealing_maxiter": 0},
+        {"annealing_maxiter": -3},
+        {"annealing_maxiter": "40"},
+        {"max_samples": 1.5},
+        {"max_samples": 0},
+        {"max_samples": True},
+        {"threshold_per_block": float("nan")},
+        {"threshold_per_block": float("inf")},
+        {"threshold_per_block": -0.25},
+        {"threshold_per_block": "0.25"},
+        {"weight": float("nan")},
+        {"weight": 1.5},
+    ):
+        with pytest.raises(ServiceError, match="invalid QuestConfig override"):
+            merge_config(base, bad)
 
 
 def test_job_record_round_trip_and_validation():
