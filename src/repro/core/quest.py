@@ -438,10 +438,10 @@ def run_quest(
     (approximations are measurement-free, like the paper's artifacts —
     measurement is appended by whoever runs them).
 
-    ``checkpoint_dir`` (overriding ``config.checkpoint_dir``) journals
-    each completed block pool atomically; rerunning against the same
-    directory skips journaled blocks and is bit-identical to an
-    uninterrupted run.  A directory holding a journal for a *different*
+    ``checkpoint_dir`` (overriding ``config.checkpoint_dir``) durably
+    journals each synthesis job's solutions under its entry key as the
+    job lands; rerunning against the same directory skips journaled
+    keys and is bit-identical to an uninterrupted run.  A directory holding a journal for a *different*
     circuit or config refuses to resume (:class:`CheckpointError`), as
     does an existing journal when ``resume=False``.  ``fault_injector``
     deterministically injects faults for testing

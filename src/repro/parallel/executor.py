@@ -30,9 +30,11 @@ any downgrade.  Candidate sets from workers, the cache, or a checkpoint
 are health-checked via :mod:`repro.resilience.validation` and
 quarantined on failure; every failure lands in a structured
 :class:`~repro.resilience.retry.FailureRecord` log.  With a
-:class:`~repro.resilience.journal.RunJournal`, each block's solution
-list is journaled durably as its job lands, and journaled blocks skip
-synthesis on resume.
+:class:`~repro.resilience.journal.RunJournal`, each landed job's
+solution list is journaled durably under its entry key, and journaled
+keys skip synthesis on resume; blocks the cache served are not
+journaled, since resume finds them there again (or re-synthesizes them
+under their pinned seeds, bit-identically).
 
 **Graceful degradation.**  Only when every attempt is exhausted does a
 block downgrade to the exact-block singleton pool — the distance-zero
@@ -311,8 +313,6 @@ class _RunState:
     resolved_attempt: dict[str, int] = field(default_factory=dict)
     #: Entry key -> the last failed attempt's exception.
     failures: dict[str, BaseException] = field(default_factory=dict)
-    #: Block indices the journal holds.
-    journaled: set[int] = field(default_factory=set)
     #: One opaque token per run: the in-flight registry keys claims by
     #: it, so a crashed run releases wholesale.
     claim_token: object = field(default_factory=object)
@@ -354,9 +354,10 @@ class BlockSynthesisExecutor:
         Optional :class:`RetryPolicy`.  ``None`` (the default) means one
         attempt per block — the executor's historical behaviour.
     journal:
-        Optional :class:`~repro.resilience.journal.RunJournal`.  Blocks
-        already journaled (and healthy) are restored without synthesis;
-        freshly resolved solution lists are journaled as jobs land.
+        Optional :class:`~repro.resilience.journal.RunJournal`.  Entry
+        keys already journaled (and healthy) are restored without
+        synthesis; each landed job's solution list is journaled under
+        its key as it lands.
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
@@ -455,8 +456,8 @@ class BlockSynthesisExecutor:
     # ------------------------------------------------------------------
     def _plan(self, run: _RunState, seeds: list[int]) -> None:
         """Canonicalize seeds per content key, then serve each block from
-        the first source holding its entry key — the run journal, this
-        run, the cache — or queue a synthesis job."""
+        the first source holding its entry key — this run, the run
+        journal, the cache — or queue a synthesis job."""
         canonical_seed: dict[str, int] = {}
         for index, (block, seed) in enumerate(zip(run.blocks, seeds)):
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
@@ -469,11 +470,6 @@ class BlockSynthesisExecutor:
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
             run.plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
-            if self.journal is not None and self._admit(
-                run, "journal", index, key, self.journal.load_pool(index, key)
-            ):
-                run.journaled.add(index)
-                continue
             if key in run.resolved or key in run.jobs:
                 # Within-run repeat: the canonical seed makes its result
                 # identical to the first occurrence's, so it joins that
@@ -483,6 +479,10 @@ class BlockSynthesisExecutor:
                     block=index,
                     source="run",
                 )
+                continue
+            if self.journal is not None and self._admit(
+                run, "journal", index, key, self.journal.load_pool(key)
+            ):
                 continue
             if self.cache is not None and self._admit(
                 run, "disk", index, key, self.cache.get(key)
@@ -511,7 +511,7 @@ class BlockSynthesisExecutor:
             except ValidationError as exc:
                 if source == "journal":
                     run.note_failure(index, 0, FAILURE_CHECKPOINT, str(exc))
-                    self.journal.discard(index)
+                    self.journal.discard(key)
                 else:
                     run.note_failure(
                         index, 0, FAILURE_VALIDATION,
@@ -716,8 +716,6 @@ class BlockSynthesisExecutor:
             return False
         run.resolved[key] = solutions
         run.stats.block_seconds[index] = elapsed
-        # Recorded as each job lands (not at round end), so a crash
-        # mid-round has already journaled every finished block.
         run.resolved_attempt[key] = attempt
         if self.inflight is not None and claimed:
             # Same rule as the disk cache: only baseline results are
@@ -727,7 +725,10 @@ class BlockSynthesisExecutor:
                 self.inflight.publish(key, run.claim_token, solutions)
             else:
                 self.inflight.fail(key, run.claim_token)
-        self._journal_blocks(run, key)
+        if self.journal is not None:
+            # Journaled as each job lands (not at round end), so a crash
+            # mid-round loses at most the jobs still in flight.
+            self.journal.store_pool(index, key, solutions)
         return True
 
     def _adopt_joined(
@@ -757,30 +758,17 @@ class BlockSynthesisExecutor:
                 run.resolved_attempt[key] = 0
                 emit("dedup.adopt", block=job[0])
                 adopted.append(key)
-                self._journal_blocks(run, key)
+                if self.journal is not None:
+                    self.journal.store_pool(job[0], key, entry.solutions)
             else:
                 leftover[key] = job
         return adopted, leftover
-
-    def _journal_blocks(self, run: _RunState, key: str) -> None:
-        """Journal every block the landed job serves.
-
-        Called as each job lands, so a crash mid-run loses at most the
-        blocks still in flight.
-        """
-        if self.journal is None:
-            return
-        for index, plan in enumerate(run.plans):
-            if plan.key == key and index not in run.journaled:
-                self.journal.store_pool(index, key, run.resolved[key])
-                run.journaled.add(index)
 
     # ------------------------------------------------------------------
     # Phase 3: assemble
     # ------------------------------------------------------------------
     def _assemble(self, run: _RunState) -> list[BlockPool]:
-        """Assemble every pool once (parent process, block order),
-        journaling the blocks no landed job covered."""
+        """Assemble every pool once (parent process, block order)."""
         max_attempts = run.policy.max_attempts
         pools: list[BlockPool] = []
         for index, (block, plan) in enumerate(zip(run.blocks, run.plans)):
@@ -814,7 +802,5 @@ class BlockSynthesisExecutor:
                 emit("executor.fallback", block=index, attempts=max_attempts)
                 pools.append(exact_pool(block))
                 continue
-            if self.journal is not None and index not in run.journaled:
-                self.journal.store_pool(index, plan.key, solutions)
             pools.append(assemble_pool(block, solutions, run.config, plan.seed))
         return pools

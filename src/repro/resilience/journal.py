@@ -14,13 +14,16 @@ cost one block, not forty.  :class:`RunJournal` persists, under a
     seed stream disagrees — mixing pools across configs would silently
     produce garbage.
 
-``block_NNNN.qckpt``
-    One file per completed nontrivial block: a
-    :mod:`repro.store.record` record of kind ``journal`` keyed by the
-    block index plus the block's content-addressed cache entry key,
-    holding the same :class:`~repro.synthesis.leap.SynthesisSolution`
-    list the pool cache stores for that key.  Every file (manifest
-    included) is published with a durable
+``<entry_key>.qckpt``
+    One file per content-addressed cache entry key this run resolved by
+    landing a synthesis job (its own, or one adopted from another
+    executor's in-flight job): a :mod:`repro.store.record` record of
+    kind ``journal`` keyed by the entry key, holding the same
+    :class:`~repro.synthesis.leap.SynthesisSolution` list the pool cache
+    stores under that key.  Repeated blocks share one entry, and blocks
+    the cache or store served are not journaled at all: on resume they
+    are served from there again, or re-synthesized under their pinned
+    seeds.  Every file (manifest included) is published with a durable
     :func:`~repro.store.record.publish_atomic` — temp file, ``fsync``,
     rename, directory ``fsync`` — so a crash mid-write leaves either the
     previous state or a temp file that resume ignores, never a
@@ -30,9 +33,8 @@ cost one block, not forty.  :class:`RunJournal` persists, under a
 
 Resume is bit-identical by construction: solutions round-trip through
 pickle exactly, pools reassemble from them deterministically, the seed
-stream is pre-drawn and verified, and blocks
-not in the journal re-synthesize under the same seeds an uninterrupted
-run would have used.
+stream is pre-drawn and verified, and keys not in the journal
+re-synthesize under the same seeds an uninterrupted run would have used.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.store.record import (
 from repro.synthesis.solution import decode_solutions, encode_solutions
 
 #: Bump when the journal layout changes; old directories refuse to resume.
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -92,7 +94,7 @@ def quest_fingerprint(baseline, config) -> str:
 
 
 class RunJournal:
-    """Durably journaled per-block solution lists under a checkpoint dir."""
+    """Durably journaled per-entry-key solution lists under a checkpoint dir."""
 
     def __init__(
         self,
@@ -170,56 +172,45 @@ class RunJournal:
             )
 
     # ------------------------------------------------------------------
-    # Block entries
+    # Entries
     # ------------------------------------------------------------------
-    def _entry_path(self, index: int) -> Path:
-        return self._dir / f"block_{index:04d}.qckpt"
+    def _entry_path(self, key: str) -> Path:
+        return self._dir / f"{key}.qckpt"
 
-    def journaled_blocks(self) -> list[int]:
-        """Indices with a published (not necessarily valid) entry."""
-        indices = []
-        for path in sorted(self._dir.glob("block_*.qckpt")):
-            try:
-                indices.append(int(path.stem.split("_")[1]))
-            except (IndexError, ValueError):
-                continue
-        return indices
+    def store_pool(self, block: int, key: str, solutions) -> None:
+        """Durably journal ``solutions`` as entry ``key``'s result.
 
-    def store_pool(self, index: int, key: str, solutions) -> None:
-        """Durably journal ``solutions`` as block ``index``'s result."""
-        path = self._entry_path(index)
-        record = encode_record(
-            "journal", f"{int(index)}:{key}", encode_solutions(solutions)
-        )
+        ``block`` is the landing job's first block index; it only labels
+        the ``checkpoint.store`` event and the torn-checkpoint fault hook.
+        """
+        path = self._entry_path(key)
+        record = encode_record("journal", key, encode_solutions(solutions))
         publish_atomic(path, record, durable=True)
-        emit("checkpoint.store", block=int(index))
+        emit("checkpoint.store", block=int(block))
         if self.fault_injector is not None:
-            self.fault_injector.on_checkpoint_write(int(index), path)
+            self.fault_injector.on_checkpoint_write(int(block), path)
 
-    def load_pool(self, index: int, key: str):
-        """Block ``index``'s journaled solution list, or None.
+    def load_pool(self, key: str):
+        """Entry ``key``'s journaled solution list, or None.
 
         A missing entry is a plain miss.  An entry that exists but does
-        not decode as this block's record — stale or corrupt alike — is
+        not decode as this key's record — stale or corrupt alike — is
         quarantined via :meth:`discard` and reported as a miss.
         """
         try:
-            raw = self._entry_path(index).read_bytes()
+            raw = self._entry_path(key).read_bytes()
         except OSError:
             return None
         try:
             return decode_record(
-                raw,
-                kind="journal",
-                key=f"{int(index)}:{key}",
-                parse=decode_solutions,
+                raw, kind="journal", key=key, parse=decode_solutions
             )
         except RecordError:
-            self.discard(index)
+            self.discard(key)
             return None
 
-    def discard(self, index: int) -> None:
-        """Quarantine block ``index``'s entry (count + set aside)."""
+    def discard(self, key: str) -> None:
+        """Quarantine entry ``key`` (count + set aside)."""
         self.corrupt_entries += 1
-        emit("checkpoint.quarantine", block=int(index))
-        quarantine(self._entry_path(index))
+        emit("checkpoint.quarantine", key=key)
+        quarantine(self._entry_path(key))

@@ -18,7 +18,10 @@ The ledger is what makes the daemon warm-restartable:
   most one transition;
 * each job owns a checkpoint directory (``job-<id>.ckpt/``) that
   :func:`repro.core.quest.run_quest` journals block pools into, so a
-  job killed mid-run resumes from its completed blocks, bit-identically;
+  job killed mid-run resumes from its completed blocks, bit-identically.
+  A terminal job never resumes, so its directory is removed once its
+  terminal record is stored (and on warm restart, for a crash between
+  the two);
 * :meth:`JobLedger.load` returns every readable record — the restarted
   daemon re-admits ``pending``/``running`` jobs and keeps terminal ones
   answerable to late ``wait`` calls.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 from repro.exceptions import ServiceError
@@ -77,6 +81,10 @@ class JobLedger:
     def checkpoint_dir(self, job_id: str) -> Path:
         """The job's private run-journal directory (created lazily)."""
         return self._dir / f"{_ENTRY_PREFIX}{_job_id_component(job_id)}{_CHECKPOINT_SUFFIX}"
+
+    def discard_checkpoint(self, job_id: str) -> None:
+        """Remove the job's checkpoint directory, if it has one."""
+        shutil.rmtree(self.checkpoint_dir(job_id), ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Write path

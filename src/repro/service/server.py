@@ -252,7 +252,8 @@ class QuestService:
         ``run_quest`` resumes from the job's checkpoint directory —
         completed blocks are not re-synthesized and the final selection
         is bit-identical.  Terminal jobs stay answerable to late
-        ``wait`` calls.
+        ``wait`` calls; a checkpoint directory left behind by one (a
+        crash right after its terminal record was stored) is removed.
         """
         recovered = 0
         for record in self.ledger.load_all():
@@ -261,6 +262,7 @@ class QuestService:
             if number is not None:
                 self._next_job_number = max(self._next_job_number, number + 1)
             if record.state in TERMINAL_STATES:
+                self.ledger.discard_checkpoint(record.job_id)
                 continue
             if record.state == JOB_RUNNING:
                 record.state = JOB_PENDING
@@ -409,6 +411,8 @@ class QuestService:
         record.error = error
         record.degraded = degraded
         self.ledger.store(record)
+        # Durably terminal: the job never resumes, so its journal goes.
+        self.ledger.discard_checkpoint(record.job_id)
         latency = self._clock() - record.submitted_at
         self.metrics.observe("service.latency_seconds", max(latency, 0.0))
         self.metrics.observe(

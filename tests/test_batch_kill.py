@@ -114,7 +114,7 @@ def test_batch_resumes_after_sigkill_bit_identically(tmp_path):
     )
     circuit0 = checkpoint_dir / "circuit-0000"
     circuit1 = checkpoint_dir / "circuit-0001"
-    journaled = sorted(circuit0.glob("block_*.qckpt"))
+    journaled = sorted(circuit0.glob("*.qckpt"))
     _dump_artifacts(
         "sigkill_batch_child",
         {
@@ -132,7 +132,7 @@ def test_batch_resumes_after_sigkill_bit_identically(tmp_path):
     assert (circuit0 / "manifest.json").exists()
     names = [p.name for p in journaled]
     assert names, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in names
+    assert len(names) == KILL_BLOCK
     assert not circuit1.exists()
 
     # Rerun the batch against the same checkpoint root: circuit 0 resumes

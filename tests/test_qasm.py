@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,40 @@ def test_parameter_expressions_fail_closed(expressions):
 def test_parse_rejects_bad_measure():
     with pytest.raises(QasmError):
         circuit_from_qasm("qreg q[1]; measure q[0];")
+
+
+def test_parse_rejects_a_second_qreg():
+    # It used to replace the circuit, dropping every earlier gate.
+    with pytest.raises(QasmError, match=r"qreg r\[3\]"):
+        circuit_from_qasm("qreg q[2]; h q[0]; qreg r[3]; h q[2];")
+
+
+@pytest.mark.parametrize(
+    "text, statement",
+    [
+        ("qreg q[2]; creg c[2]; measure q[0] -> c[9];", "c[9]"),
+        ("qreg q[2]; creg c[2]; measure q[1] -> c[2];", "c[2]"),
+        ("qreg q[2]; measure q[0] -> c[0];", "c[0]"),
+    ],
+)
+def test_parse_rejects_a_measure_outside_the_creg(text, statement):
+    with pytest.raises(QasmError, match=re.escape(statement)):
+        circuit_from_qasm(text)
+
+
+def test_parse_rejects_bad_or_repeated_creg():
+    with pytest.raises(QasmError, match="creg"):
+        circuit_from_qasm("qreg q[1]; creg c;")
+    with pytest.raises(QasmError, match="second creg"):
+        circuit_from_qasm("qreg q[1]; creg c[1]; creg c[2];")
+
+
+def test_creg_covers_every_measured_bit():
+    circuit = Circuit(2)
+    circuit.measure(0, 3)
+    text = circuit_to_qasm(circuit)
+    assert "creg c[4];" in text
+    assert circuit_from_qasm(text) == circuit
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import CheckpointError
+from repro.observability import ListSink, Tracer, use_tracer
 from repro.partition.scan import scan_partition
 from repro.resilience.journal import (
     JOURNAL_VERSION,
@@ -84,7 +85,8 @@ def test_fresh_directory_writes_a_manifest(tmp_path):
         "seeds": [1, 2, 3],
         "num_blocks": 3,
     }
-    assert journal.journaled_blocks() == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "manifest.json"]
+    assert journal.load_pool("key-0") is None
 
 
 def test_resume_false_refuses_an_existing_journal(tmp_path):
@@ -136,8 +138,8 @@ def test_store_then_load_round_trips_bit_identically(tmp_path):
     journal = RunJournal(tmp_path, "fp", [1])
     solutions = _solutions()
     journal.store_pool(0, "key-0", solutions)
-    assert journal.journaled_blocks() == [0]
-    loaded = journal.load_pool(0, "key-0")
+    assert (tmp_path / "key-0.qckpt").exists()
+    loaded = journal.load_pool("key-0")
     assert loaded is not None
     assert [s.cnot_count for s in loaded] == [s.cnot_count for s in solutions]
     for a, b in zip(loaded, solutions):
@@ -148,7 +150,7 @@ def test_store_then_load_round_trips_bit_identically(tmp_path):
 
 def test_missing_entry_is_a_plain_miss(tmp_path):
     journal = RunJournal(tmp_path, "fp", [1])
-    assert journal.load_pool(0, "key-0") is None
+    assert journal.load_pool("key-0") is None
     assert journal.corrupt_entries == 0
 
 
@@ -160,12 +162,15 @@ def test_no_temp_files_survive_a_publish(tmp_path):
 
 
 def test_key_mismatch_is_quarantined(tmp_path):
-    """An entry journaled under a different cache key must not resume."""
+    """An entry whose record names another cache key must not resume."""
     journal = RunJournal(tmp_path, "fp", [1])
     journal.store_pool(0, "key-old", _solutions())
-    assert journal.load_pool(0, "key-new") is None
+    (tmp_path / "key-old.qckpt").rename(tmp_path / "key-new.qckpt")
+    assert journal.load_pool("key-new") is None
     assert journal.corrupt_entries == 1
-    assert journal.journaled_blocks() == []  # quarantine sets the file aside
+    # Quarantine sets the file aside.
+    assert not (tmp_path / "key-new.qckpt").exists()
+    assert (tmp_path / "key-new.qckpt.corrupt").exists()
 
 
 @pytest.mark.parametrize(
@@ -175,7 +180,7 @@ def test_key_mismatch_is_quarantined(tmp_path):
 def test_corrupt_entries_are_quarantined_and_deleted(tmp_path, corruption):
     journal = RunJournal(tmp_path, "fp", [1])
     journal.store_pool(0, "key-0", _solutions())
-    path = tmp_path / "block_0000.qckpt"
+    path = tmp_path / "key-0.qckpt"
     raw = path.read_bytes()
     if corruption == "truncate":
         path.write_bytes(raw[: len(raw) // 3])
@@ -187,10 +192,21 @@ def test_corrupt_entries_are_quarantined_and_deleted(tmp_path, corruption):
         path.write_bytes(bytes(flipped))
     else:  # wrong payload type behind a valid checksum
         payload = pickle.dumps({"not": "a pool"})
-        path.write_bytes(encode_record("journal", "0:key-0", payload))
-    assert journal.load_pool(0, "key-0") is None
+        path.write_bytes(encode_record("journal", "key-0", payload))
+    assert journal.load_pool("key-0") is None
     assert journal.corrupt_entries == 1
     assert not path.exists()
+
+
+def test_quarantine_event_names_the_entry(tmp_path):
+    journal = RunJournal(tmp_path, "fp", [1])
+    journal.store_pool(0, "key-0", _solutions())
+    (tmp_path / "key-0.qckpt").write_bytes(b"torn")
+    sink = ListSink()
+    with use_tracer(Tracer(sink)):
+        assert journal.load_pool("key-0") is None
+    events = [r for r in sink.records if r["name"] == "checkpoint.quarantine"]
+    assert [event["attrs"] for event in events] == [{"key": "key-0"}]
 
 
 # ----------------------------------------------------------------------
@@ -251,3 +267,40 @@ def test_resume_false_refuses_reuse_end_to_end(tmp_path):
             checkpoint_dir=tmp_path / "ckpt",
             resume=False,
         )
+
+
+def _journal_files(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def test_repeated_blocks_journal_one_entry_per_key(tmp_path):
+    """A Trotter circuit repeats block unitaries; each distinct entry key
+    is journaled once, not once per repeat."""
+    circuit = tfim(4, steps=3)
+    first = run_quest(circuit, _run_config(), checkpoint_dir=tmp_path / "ckpt")
+    assert len(first.blocks) > first.cache_misses > 0
+    entries = [
+        name for name in _journal_files(tmp_path / "ckpt")
+        if name.endswith(".qckpt")
+    ]
+    assert len(entries) == first.cache_misses
+    resumed = run_quest(circuit, _run_config(), checkpoint_dir=tmp_path / "ckpt")
+    _results_identical(first, resumed)
+    assert resumed.checkpoint_hits == len(entries)
+    assert resumed.cache_misses == 0
+
+
+def test_store_served_blocks_are_not_journaled(tmp_path):
+    """Blocks a warm store serves stay in the store: the journal holds
+    only its manifest, and resume serves them from the store again."""
+    circuit = tfim(4, steps=1)
+    config = _run_config(store_dir=str(tmp_path / "store"))
+    warm = run_quest(circuit, config)
+    assert warm.cache_misses > 0
+    served = run_quest(circuit, config, checkpoint_dir=tmp_path / "ckpt")
+    assert served.cache_misses == 0
+    assert _journal_files(tmp_path / "ckpt") == ["manifest.json"]
+    resumed = run_quest(circuit, config, checkpoint_dir=tmp_path / "ckpt")
+    _results_identical(warm, served)
+    _results_identical(warm, resumed)
+    assert resumed.cache_misses == 0

@@ -95,7 +95,7 @@ def test_resume_after_sigkill_is_bit_identical(tmp_path):
         timeout=300,
         env=env,
     )
-    journaled = sorted(checkpoint_dir.glob("block_*.qckpt"))
+    journaled = sorted(checkpoint_dir.glob("*.qckpt"))
     _dump_artifacts(
         "sigkill_child",
         {
@@ -112,7 +112,7 @@ def test_resume_after_sigkill_is_bit_identical(tmp_path):
     assert (checkpoint_dir / "manifest.json").exists()
     names = [p.name for p in journaled]
     assert names, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in names
+    assert len(names) == KILL_BLOCK
 
     # Resume and compare with an uninterrupted run, bit for bit.
     config = QuestConfig(seed=SEED, **FAST)

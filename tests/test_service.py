@@ -26,7 +26,7 @@ from repro.algorithms import qft, tfim
 from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
-from repro.service import QuestService, ServiceClient
+from repro.service import JobLedger, QuestService, ServiceClient
 
 FAST = dict(
     seed=11,
@@ -225,6 +225,7 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             "OPENQASM 2.0;\nnot a gate;",
             "OPENQASM 2.0;\nqreg q[1];\nrz(1e309) q[0];",
             "OPENQASM 2.0;\nqreg q[1];\nrz(2.0**2000) q[0];",
+            "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nqreg r[3];\nh q[2];",
         ):
             job_id = client.submit(bad_qasm)
             reply = client.wait(job_id, timeout=60.0)
@@ -319,6 +320,29 @@ def test_warm_restart_answers_old_jobs_and_resumes_numbering(
         assert new_id != done_id
         assert client.wait(new_id, timeout=300.0)["state"] == "done"
         _assert_no_stranded(client)
+
+
+def test_finished_jobs_leave_no_checkpoint_directory(tmp_path):
+    """A terminal job never resumes, so its run journal is removed once
+    its terminal record is stored — and on restart, for a crash that
+    fell between the two steps."""
+    ledger_dir = tmp_path / "ledger"
+    with running_service(ledger_dir) as (service, client):
+        job_ids = [
+            client.submit(circuit_to_qasm(circuit))
+            for circuit in (tfim(4, steps=2), qft(4))
+        ]
+        for job_id in job_ids:
+            assert client.wait(job_id, timeout=300.0)["state"] == "done"
+        assert list(ledger_dir.glob("job-*.ckpt")) == []
+    # A crash between the terminal record and the removal leaves a
+    # directory behind; the restarted daemon clears it.
+    leftover = JobLedger(ledger_dir).checkpoint_dir(job_ids[0])
+    leftover.mkdir()
+    (leftover / "manifest.json").write_text("{}")
+    with running_service(ledger_dir) as (service, client):
+        assert not leftover.exists()
+        assert client.wait(job_ids[0], timeout=10.0)["state"] == "done"
 
 
 def test_shutdown_drains_and_preserves_queued_jobs(tmp_path):

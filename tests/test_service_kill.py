@@ -127,7 +127,7 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
         journaled = sorted(
             p.name
             for p in ledger.checkpoint_dir(records[0].job_id).glob(
-                "block_*.qckpt"
+                "*.qckpt"
             )
         )
     _dump_artifacts(
@@ -151,7 +151,7 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
     assert records[0].state == "running"
     assert records[0].attempts == 1
     assert journaled, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in journaled
+    assert len(journaled) == KILL_BLOCK
 
     # Warm restart on the same ledger, injector gone: the job re-admits,
     # resumes from its journal, and completes bit-identically to a solo
