@@ -7,13 +7,13 @@ circuit) and through one batched PTM contraction, and records the
 numbers to ``BENCH_ptm.json`` at the repo root.  Asserts the engine's
 three claims in the same run:
 
-* >= 10x ensemble throughput over the batched trajectory engine on the
-  numpy backend (the PTM answer is also *exact*, where T=1000
-  trajectories still carries ~1e-2 sampling error);
+* >= 10x ensemble throughput over the batched trajectory engine (the
+  PTM answer is also *exact*, where T=1000 trajectories still carries
+  ~1e-2 sampling error);
 * pointwise agreement with the density-matrix reference within
   ``PTM_DENSITY_AGREEMENT_ATOL`` for every ensemble member;
-* bit-identical pipeline selections whichever engine the run is
-  configured with (the engine only touches post-selection evaluation).
+* the engine only touches post-selection evaluation: evaluating one
+  run's ensemble under every engine leaves its selections bit-identical.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def test_ptm_ensemble_throughput():
     # --- PTM engine: the whole ensemble as one batched contraction -----
     cache = PtmCache()
     start = time.perf_counter()
-    exact = run_ptm_ensemble(circuits, noise, backend="numpy", cache=cache)
+    exact = run_ptm_ensemble(circuits, noise, cache=cache)
     ptm_cold_seconds = time.perf_counter() - start
     compile_misses = cache.misses
     # Steady state (the Sec. 5 loop evaluates many ensembles under one
@@ -98,7 +98,7 @@ def test_ptm_ensemble_throughput():
     ptm_seconds = ptm_cold_seconds
     for _ in range(3):
         start = time.perf_counter()
-        run_ptm_ensemble(circuits, noise, backend="numpy", cache=cache)
+        run_ptm_ensemble(circuits, noise, cache=cache)
         ptm_seconds = min(ptm_seconds, time.perf_counter() - start)
     speedup = trajectory_seconds / ptm_seconds
 
@@ -114,14 +114,11 @@ def test_ptm_ensemble_throughput():
     )
 
     # --- Selections are engine-independent -----------------------------
-    results = {
-        engine: run_quest(
-            tfim(4, steps=2),
-            QuestConfig(**{**_FAST.__dict__, "noise_engine": engine}),
-        )
-        for engine in ("ptm", "density", "trajectories")
-    }
-    selection_sets = {_choices(result) for result in results.values()}
+    result = run_quest(tfim(4, steps=2), _FAST)
+    selection_sets = {_choices(result)}
+    for engine in ("ptm", "density", "trajectories"):
+        result.noisy_ensemble(noise, engine=engine, rng=0)
+        selection_sets.add(_choices(result))
     assert len(selection_sets) == 1
 
     rows = [
@@ -146,7 +143,6 @@ def test_ptm_ensemble_throughput():
                 "circuit": "tfim(5, steps=2) + per-member rz",
                 "ensemble_size": ENSEMBLE_SIZE,
                 "trajectories": TRAJECTORIES,
-                "array_backend": "numpy",
                 "trajectory_seconds": trajectory_seconds,
                 "ptm_cold_seconds": ptm_cold_seconds,
                 "ptm_warm_seconds": ptm_seconds,

@@ -33,9 +33,7 @@ from pathlib import Path
 
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
 from repro.core import QuestConfig, run_quest
-from repro.exceptions import ArrayBackendError, ConfigError, ReproError, StoreError
-from repro.linalg.array_api import BACKEND_NAMES, get_backend
-from repro.noise import NOISE_ENGINES
+from repro.exceptions import ConfigError, ReproError, StoreError
 from repro.observability import (
     JsonlSink,
     Tracer,
@@ -61,13 +59,6 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
-
-
-def _nonnegative_float(value: str) -> float:
-    parsed = float(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
     return parsed
 
 
@@ -191,22 +182,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "escalate deterministically (default 2)",
     )
     parser.add_argument(
-        "--retry-budget-multiplier",
-        type=float,
-        default=1.0,
-        help="grow the per-block time budget by this factor on each "
-        "retry attempt (default 1.0 = flat)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=_nonnegative_float,
-        default=0.0,
-        metavar="SECONDS",
-        help="base delay of the full-jitter exponential backoff before "
-        "each synthesis retry (default 0 = retry immediately); affects "
-        "wall time only, never results",
-    )
-    parser.add_argument(
         "--inject-faults",
         metavar="SPEC",
         default=None,
@@ -255,23 +230,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "certification: rebuild every worker/cache/checkpoint "
         "candidate's unitary through the certifier's own contraction "
         "path (slower)",
-    )
-    parser.add_argument(
-        "--noise-engine",
-        choices=NOISE_ENGINES,
-        default="auto",
-        help="engine for post-run noisy-ensemble evaluation: 'ptm' "
-        "contracts the whole ensemble as one batched superoperator "
-        "pass; 'auto' (default) keeps the density/trajectories "
-        "dispatch",
-    )
-    parser.add_argument(
-        "--array-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="array library for the ptm engine (default: "
-        "$REPRO_ARRAY_BACKEND, falling back to numpy); exits 2 if the "
-        "requested library is not installed",
     )
 
 
@@ -383,11 +341,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retry-attempts", type=_positive_int, default=2,
         help="default synthesis attempts per block",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=_nonnegative_float, default=0.0,
-        metavar="SECONDS",
-        help="default full-jitter retry backoff base (0 = immediate)",
     )
     parser.add_argument(
         "--log-level",
@@ -526,7 +479,6 @@ def _serve_main(argv: list[str]) -> int:
             store_dir=None if args.store_dir is None else str(args.store_dir),
             namespace=args.namespace,
             retry_attempts=args.retry_attempts,
-            retry_backoff_seconds=args.retry_backoff,
         )
     except ConfigError as exc:
         logger.error(f"error: {exc}")
@@ -829,12 +781,8 @@ def _config_from_args(args, logger):
                 None if args.checkpoint_dir is None else str(args.checkpoint_dir)
             ),
             retry_attempts=args.retry_attempts,
-            retry_budget_multiplier=args.retry_budget_multiplier,
-            retry_backoff_seconds=args.retry_backoff,
             certify=args.certify,
             certify_candidates=args.certify_candidates,
-            noise_engine=args.noise_engine,
-            array_backend=args.array_backend,
         ), 0
     except ConfigError as exc:
         logger.error(f"error: {exc}")
@@ -858,13 +806,6 @@ def _compile_preflight(args, logger) -> int:
             return 2
     if args.resume and args.checkpoint_dir is None:
         logger.error("error: --resume requires --checkpoint-dir")
-        return 2
-    try:
-        # Resolve eagerly so a missing array library (e.g. --array-backend
-        # cupy on a CPU-only host) fails before any synthesis work starts.
-        get_backend(args.array_backend)
-    except ArrayBackendError as exc:
-        logger.error(f"error: --array-backend: {exc}")
         return 2
     return 0
 

@@ -47,7 +47,6 @@ from repro.resilience.journal import RunJournal, quest_fingerprint
 from repro.resilience.retry import FailureRecord, RetryPolicy, fallback_blocks
 from repro.transpile.basis import lower_to_basis
 from repro.verify.certifier import CertificationReport, certify_result
-from repro.verify.independent import DEFAULT_MAX_EXACT_QUBITS
 
 #: Hard per-block timeout is this multiple of the cooperative LEAP budget
 #: (plus a grace constant) — generous, because LEAP only checks its
@@ -106,14 +105,6 @@ class QuestConfig:
     #: recovery from transient faults is bit-identical; later attempts
     #: escalate seeds deterministically via SeedSequence.spawn.
     retry_attempts: int = 2
-    #: Per-attempt growth factor of the block time budget (and hard
-    #: timeout) under retries; 1.0 keeps the budget flat.
-    retry_budget_multiplier: float = 1.0
-    #: Base delay (seconds) of the full-jitter exponential backoff
-    #: before each retry round; 0.0 (default) re-dispatches immediately.
-    #: Backoff affects wall time only — retry seeds and budgets, and
-    #: therefore results, are identical with it on or off.
-    retry_backoff_seconds: float = 0.0
     #: Health-check candidates from workers/cache/checkpoints (finite,
     #: unitary, distances recompute) and quarantine failures.
     validate_candidates: bool = True
@@ -124,23 +115,12 @@ class QuestConfig:
     #: against the claimed total.  Reports land in
     #: ``QuestResult.certifications``; a violation never raises.
     certify: bool = False
-    #: Widest circuit the post-run certifier diffs exactly; wider ones
-    #: fall to the random-stimulus regime.
-    certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
     #: Harden candidate validation: additionally rebuild every
     #: worker/cache/checkpoint candidate's unitary through the
     #: certifier's independent contraction path and require agreement
     #: with the recorded artifacts.  Catches corruption the plain
     #: health checks cannot (a tampered-but-still-unitary matrix).
     certify_candidates: bool = False
-    #: Engine for :meth:`QuestResult.noisy_ensemble` (one of
-    #: :data:`repro.noise.NOISE_ENGINES`).  ``auto`` keeps the historical
-    #: density/trajectories dispatch; ``ptm`` evaluates the whole
-    #: ensemble as one batched superoperator contraction.
-    noise_engine: str = "auto"
-    #: Array library for the ``ptm`` engine (``numpy``/``cupy``/``torch``;
-    #: None defers to ``$REPRO_ARRAY_BACKEND``, default numpy).
-    array_backend: str | None = None
 
     def __post_init__(self) -> None:
         # Fail closed at construction, so the CLI, batch driver and daemon
@@ -228,10 +208,6 @@ class QuestResult:
     #: (same order as ``circuits``); populated only when
     #: ``QuestConfig.certify`` is set.
     certifications: list[CertificationReport] = field(default_factory=list)
-    #: Default engine/backend for :meth:`noisy_ensemble`, copied from the
-    #: config that produced this result.
-    noise_engine: str = "auto"
-    array_backend: str | None = None
 
     cache_hits = counter_view(
         "cache.hit",
@@ -349,18 +325,16 @@ class QuestResult:
         trajectories: int = 1000,
         rng: np.random.Generator | int | None = None,
         batched: bool = True,
-        engine: str | None = None,
-        array_backend: str | None = None,
+        engine: str = "auto",
     ) -> np.ndarray:
         """Averaged noisy output distribution of the selected ensemble.
 
         Evaluates every selected approximation under ``noise`` and
         returns the pointwise mean — the quantity the paper compares
-        against the ideal distribution in Sec. 5.  ``engine`` (default:
-        the ``noise_engine`` the result was configured with) picks the
-        evaluator: ``ptm`` contracts the whole ensemble as one batched
-        superoperator pass on ``array_backend``; the other engines
-        evaluate circuit by circuit via
+        against the ideal distribution in Sec. 5.  ``engine`` (one of
+        :data:`repro.noise.NOISE_ENGINES`) picks the evaluator: ``ptm``
+        contracts the whole ensemble as one batched superoperator pass;
+        the other engines evaluate circuit by circuit via
         :func:`repro.noise.noisy_distribution`.  Wall time is
         accumulated into ``timings.noisy_eval_seconds``.
         """
@@ -369,9 +343,6 @@ class QuestResult:
 
         if not self.circuits:
             raise SelectionError("no selected circuits to evaluate")
-        engine = engine if engine is not None else self.noise_engine
-        if array_backend is None:
-            array_backend = self.array_backend
         rng = np.random.default_rng(rng)
         tracer = get_tracer()
         start = time.perf_counter()
@@ -385,11 +356,7 @@ class QuestResult:
                 # One batched contraction over the whole ensemble: the
                 # selected approximations share block structure, so they
                 # collapse into a handful of PTM batch groups.
-                distributions = list(
-                    run_ptm_ensemble(
-                        self.circuits, noise, backend=array_backend
-                    )
-                )
+                distributions = list(run_ptm_ensemble(self.circuits, noise))
             else:
                 distributions = [
                     noisy_distribution(
@@ -399,7 +366,6 @@ class QuestResult:
                         rng=rng,
                         batched=batched,
                         engine=engine,
-                        array_backend=array_backend,
                     )
                     for circuit in self.circuits
                 ]
@@ -496,24 +462,12 @@ def _run_pipeline(
     shared=None,
 ) -> QuestResult:
     """The pipeline body; runs under the ambient tracer/metrics pair."""
-    from repro.noise import NOISE_ENGINES
-
-    if config.noise_engine not in NOISE_ENGINES:
-        raise SelectionError(
-            f"unknown noise engine {config.noise_engine!r}; choose from "
-            f"{', '.join(NOISE_ENGINES)}"
-        )
     rng = np.random.default_rng(config.seed)
     baseline = lower_to_basis(circuit.without_measurements())
     if baseline.cnot_count() == 0:
         raise SelectionError("circuit has no CNOTs; nothing for QUEST to reduce")
 
-    result = QuestResult(
-        original=circuit,
-        baseline=baseline,
-        noise_engine=config.noise_engine,
-        array_backend=config.array_backend,
-    )
+    result = QuestResult(original=circuit, baseline=baseline)
 
     start = time.perf_counter()
     with tracer.span("quest.partition"):
@@ -553,11 +507,7 @@ def _run_pipeline(
                 else _HARD_TIMEOUT_FACTOR * config.block_time_budget
                 + _HARD_TIMEOUT_GRACE
             ),
-            retry_policy=RetryPolicy(
-                max_attempts=config.retry_attempts,
-                budget_multiplier=config.retry_budget_multiplier,
-                backoff_base=config.retry_backoff_seconds,
-            ),
+            retry_policy=RetryPolicy(max_attempts=config.retry_attempts),
             journal=journal,
             fault_injector=fault_injector,
             validate=config.validate_candidates,
@@ -605,7 +555,6 @@ def _run_pipeline(
             result.certifications = certify_result(
                 result,
                 block_qubits=config.max_block_qubits,
-                max_exact_qubits=config.certify_max_exact_qubits,
                 seed=config.seed,
             )
             for index, report in enumerate(result.certifications):

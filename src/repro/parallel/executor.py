@@ -25,11 +25,11 @@ variants) is cheap and block-specific, so it always runs in the parent.
 block whose synthesis raises, hangs past the hard timeout, or returns
 candidates that fail validation is *retried* — first with the same seed
 (so transient faults recover bit-identically), then with
-deterministically escalated seeds and optionally larger budgets — before
-any downgrade.  Candidate sets from workers, the cache, or a checkpoint
-are health-checked via :mod:`repro.resilience.validation` and
-quarantined on failure; every failure lands in a structured
-:class:`~repro.resilience.retry.FailureRecord` log.  With a
+deterministically escalated seeds — before any downgrade.  Candidate
+sets from workers, the cache, or a checkpoint are health-checked via
+:mod:`repro.resilience.validation` and quarantined on failure; every
+failure lands in a structured :class:`~repro.resilience.retry.FailureRecord`
+log.  With a
 :class:`~repro.resilience.journal.RunJournal`, each landed job's
 solution list is journaled durably under its entry key, and journaled
 keys skip synthesis on resume; blocks the cache served are not
@@ -63,14 +63,11 @@ unitary itself when it assembles the pool.
 
 from __future__ import annotations
 
-import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
 
 from repro.core.pool import (
     BlockPool,
@@ -127,26 +124,6 @@ def leap_config_for_block(
         # per-block threshold, producing dissimilar on-sphere solutions.
         target_distance=config.threshold_per_block,
     )
-
-
-class _ScaledBudgetConfig:
-    """Duck-typed config view with a replaced ``block_time_budget``.
-
-    Retry attempts may grow the per-block budget; everything else
-    delegates to the wrapped config.  Note the budget is part of the
-    LEAP fingerprint, so escalated-budget results are never written to
-    the content-addressed cache under the base key.
-    """
-
-    def __init__(self, base, block_time_budget) -> None:
-        self._base = base
-        self.block_time_budget = block_time_budget
-
-    def __getattr__(self, name):
-        base = self.__dict__.get("_base")
-        if base is None:
-            raise AttributeError(name)
-        return getattr(base, name)
 
 
 def _synthesize_solutions_task(
@@ -317,10 +294,6 @@ class _RunState:
     #: it, so a crashed run releases wholesale.
     claim_token: object = field(default_factory=object)
 
-    @property
-    def base_budget(self):
-        return getattr(self.config, "block_time_budget", None)
-
     def note_failure(
         self, index: int, attempt: int, kind: str, message: str
     ) -> None:
@@ -395,8 +368,6 @@ class BlockSynthesisExecutor:
         independent_validation: bool = False,
         worker_pool: PersistentWorkerPool | None = None,
         inflight=None,
-        sleep_fn=None,
-        backoff_rng=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -415,13 +386,6 @@ class BlockSynthesisExecutor:
         #: Shared :class:`~repro.batch.workqueue.InflightRegistry`, or
         #: None for solo runs (no cross-executor dedup).
         self.inflight = inflight
-        #: Injectable clock sleep for the retry backoff (tests pin the
-        #: schedule under a fake clock); the backoff RNG is separate
-        #: from every synthesis RNG, so jitter cannot perturb results.
-        self._sleep = time.sleep if sleep_fn is None else sleep_fn
-        self._backoff_rng = (
-            np.random.default_rng() if backoff_rng is None else backoff_rng
-        )
 
     def run(
         self,
@@ -545,19 +509,6 @@ class BlockSynthesisExecutor:
                 if attempt > 0:
                     for block_index, _, _ in pending.values():
                         emit("retry.attempt", block=block_index, attempt=attempt)
-                    # Full-jitter backoff before the round re-dispatches
-                    # (one delay per round, not per block: the round's
-                    # jobs fan out together anyway).  Affects wall time
-                    # only; seeds and budgets are untouched.
-                    delay = policy.backoff_seconds(attempt, self._backoff_rng)
-                    if delay > 0:
-                        emit(
-                            "retry.backoff",
-                            attempt=attempt,
-                            seconds=round(delay, 4),
-                        )
-                        get_metrics().observe("retry.backoff_seconds", delay)
-                        self._sleep(delay)
 
                 # Split this round into jobs we own (we dispatch them)
                 # and jobs another executor has in flight (we join and
@@ -591,11 +542,11 @@ class BlockSynthesisExecutor:
         if self.cache is not None:
             for key, (_, _, seed) in run.jobs.items():
                 # Only results a job landed here, from a baseline attempt
-                # (attempt 0's seed and budget), are interchangeable with
-                # an unfaulted run's, so only those persist under the
+                # (attempt 0's seed), are interchangeable with an
+                # unfaulted run's, so only those persist under the
                 # content-addressed key — never a journal restore.
                 if key in run.resolved_attempt and policy.is_baseline_attempt(
-                    seed, run.resolved_attempt[key], run.base_budget
+                    seed, run.resolved_attempt[key]
                 ):
                     self.cache.put(key, run.resolved[key])
 
@@ -617,28 +568,22 @@ class BlockSynthesisExecutor:
         """
         if not jobs:
             return []
-        policy = run.policy
-        budget = policy.attempt_budget(run.base_budget, attempt)
-        config = (
-            run.config
-            if budget == run.base_budget
-            else _ScaledBudgetConfig(run.config, budget)
-        )
-        timeout = policy.attempt_budget(self.hard_timeout, attempt)
         round_args = {
             key: (
                 run.task, self.fault_injector, index, attempt, block,
-                config, policy.attempt_seed(seed, attempt),
+                run.config, run.policy.attempt_seed(seed, attempt),
             )
             for key, (index, block, seed) in jobs.items()
         }
         if self.workers == 1:
             fetches = {
-                key: partial(_inline_attempt, args, timeout)
+                key: partial(_inline_attempt, args, self.hard_timeout)
                 for key, args in round_args.items()
             }
         else:
-            fetches = self._submit_round(pool_manager, round_args, timeout)
+            fetches = self._submit_round(
+                pool_manager, round_args, self.hard_timeout
+            )
         return [
             key
             for key, fetch in fetches.items()
@@ -721,7 +666,7 @@ class BlockSynthesisExecutor:
             # Same rule as the disk cache: only baseline results are
             # interchangeable with a solo run's, so only those are
             # shared with joiners.
-            if run.policy.is_baseline_attempt(seed, attempt, run.base_budget):
+            if run.policy.is_baseline_attempt(seed, attempt):
                 self.inflight.publish(key, run.claim_token, solutions)
             else:
                 self.inflight.fail(key, run.claim_token)

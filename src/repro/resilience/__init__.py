@@ -12,8 +12,8 @@ run entirely).  Four cooperating pieces close those holes:
   restarting.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: failed blocks
   retry with deterministic per-attempt seeds (same seed first, then
-  ``SeedSequence.spawn`` escalation) and optional budget growth before
-  the exact-pool downgrade; every failure lands in a structured log.
+  ``SeedSequence.spawn`` escalation) before the exact-pool downgrade;
+  every failure lands in a structured log.
 * :mod:`~repro.resilience.validation` — candidates from workers, the
   cache, or a checkpoint are health-checked (finite, unitary, distance
   recomputes) and quarantined on failure.

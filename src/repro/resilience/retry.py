@@ -6,7 +6,7 @@ candidate set that fails validation — is retried up to
 singleton pool.  Two properties keep retries compatible with the
 pipeline's determinism contract:
 
-* **Same-seed first.**  Attempts ``0..same_seed_retries`` reuse the
+* **Same-seed first.**  Attempts ``0..SAME_SEED_RETRIES`` reuse the
   block's original seed, so a *transient* fault (a crashed worker, an
   injected exception, a corrupted result) recovers with a result that is
   bit-identical to an unfaulted run.
@@ -15,20 +15,8 @@ pipeline's determinism contract:
   the block seed and the attempt number, so a retried run is itself
   reproducible even when it escalates.
 
-``budget_multiplier`` optionally grows the per-attempt time budget
-(cooperative LEAP budget and the hard timeout alike) geometrically, so a
-block that timed out gets more room instead of timing out identically.
-
-``backoff_base`` optionally delays each retry with *full-jitter
-exponential backoff* (delay drawn uniformly from ``[0, min(cap,
-base * 2**(attempt-1))]``) so a burst of correlated failures — a
-briefly-broken worker pool, a filesystem blip under the cache — is not
-hammered with an immediate synchronized re-dispatch.  Backoff changes
-only *when* an attempt runs, never *what* it computes: the attempt's
-seed and budget come from :meth:`attempt_seed` / :meth:`attempt_budget`
-exactly as before, so the first (same-seed) retry stays bit-identical
-to an unfaulted run.  The default of ``0.0`` preserves the historical
-immediate re-dispatch.
+Every attempt runs under the same time budget and is re-dispatched as
+soon as the previous round lands.
 """
 
 from __future__ import annotations
@@ -53,6 +41,10 @@ FAILURE_KINDS = (
     FAILURE_CHECKPOINT,
     FAILURE_FALLBACK,
 )
+
+#: Number of *retries* (attempts beyond the first) that reuse the
+#: block's original seed before escalation kicks in.
+SAME_SEED_RETRIES = 1
 
 
 @dataclass(frozen=True)
@@ -88,84 +80,27 @@ class RetryPolicy:
     """
 
     max_attempts: int = 2
-    budget_multiplier: float = 1.0
-    #: Number of *retries* (attempts beyond the first) that reuse the
-    #: block's original seed before escalation kicks in.
-    same_seed_retries: int = 1
-    #: Base delay (seconds) of the full-jitter exponential backoff
-    #: applied before each retry round; 0.0 = immediate re-dispatch
-    #: (the historical behaviour).
-    backoff_base: float = 0.0
-    #: Ceiling on the un-jittered exponential delay.
-    backoff_cap: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.budget_multiplier <= 0:
-            raise ValueError(
-                f"budget_multiplier must be > 0, got {self.budget_multiplier}"
-            )
-        if self.same_seed_retries < 0:
-            raise ValueError(
-                f"same_seed_retries must be >= 0, got {self.same_seed_retries}"
-            )
-        if self.backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_cap <= 0:
-            raise ValueError(
-                f"backoff_cap must be > 0, got {self.backoff_cap}"
-            )
 
     def attempt_seed(self, block_seed: int, attempt: int) -> int:
         """Deterministic seed for ``attempt`` (0-based) of a block."""
-        if attempt <= self.same_seed_retries:
+        if attempt <= SAME_SEED_RETRIES:
             return int(block_seed)
-        escalation = attempt - self.same_seed_retries
+        escalation = attempt - SAME_SEED_RETRIES
         spawned = np.random.SeedSequence(int(block_seed)).spawn(escalation)
         return int(spawned[-1].generate_state(1)[0] % (2**31 - 1))
 
-    def attempt_budget(self, base: float | None, attempt: int) -> float | None:
-        """Time budget for ``attempt``; ``None`` stays unbounded."""
-        if base is None:
-            return None
-        return float(base) * self.budget_multiplier**attempt
-
-    def backoff_seconds(
-        self, attempt: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Full-jitter delay before dispatching ``attempt`` (0-based).
-
-        Attempt 0 (the first try) never waits.  Retry ``k`` draws
-        uniformly from ``[0, min(backoff_cap, backoff_base * 2**(k-1))]``
-        — AWS-style full jitter, which decorrelates a thundering herd of
-        retries better than equal-jitter at the same expected delay.
-        The draw uses the *caller's* RNG (a fresh one when omitted), so
-        it can never perturb the synthesis seed stream.
-        """
-        if attempt < 1 or self.backoff_base <= 0:
-            return 0.0
-        ceiling = min(
-            float(self.backoff_cap),
-            float(self.backoff_base) * 2.0 ** (attempt - 1),
-        )
-        if rng is None:
-            rng = np.random.default_rng()
-        return float(rng.uniform(0.0, ceiling))
-
-    def is_baseline_attempt(self, block_seed: int, attempt: int, base_budget) -> bool:
-        """Whether ``attempt`` reproduces attempt 0's (seed, budget).
+    def is_baseline_attempt(self, block_seed: int, attempt: int) -> bool:
+        """Whether ``attempt`` runs under attempt 0's seed.
 
         Results from baseline attempts are interchangeable with an
         unfaulted run's, so they are safe to persist in the
         content-addressed cache under attempt 0's entry key.
         """
-        return (
-            self.attempt_seed(block_seed, attempt) == int(block_seed)
-            and self.attempt_budget(base_budget, attempt) == base_budget
-        )
+        return self.attempt_seed(block_seed, attempt) == int(block_seed)
 
 
 @dataclass

@@ -207,7 +207,9 @@ def decode_message(line: bytes) -> dict:
     """Parse one wire frame; :class:`ServiceError` on garbage."""
     try:
         message = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an int past Python's
+        # 4300-digit limit; RecursionError a deeply nested array.
         raise ServiceError(f"undecodable service message: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise ServiceError("service message must be an object with a 'type'")

@@ -61,7 +61,7 @@ from repro.exceptions import (
     ReproError,
     ServiceError,
 )
-from repro.observability import MetricsRegistry, get_logger
+from repro.observability import MetricsRegistry, get_logger, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.blocks import stitch_blocks
@@ -92,6 +92,26 @@ _log = get_logger("service.server")
 
 #: Cap on one wire frame (QASM payloads are text; 32 MiB is generous).
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
+
+
+def _wait_timeout(value) -> float | None:
+    """A wait's ``timeout_seconds``: null, or a finite number >= 0.
+
+    Anything else is a :class:`ServiceError` the client hears as an
+    error reply: NaN would never time out, and a non-number would
+    raise past the handler and drop the connection.
+    """
+    if value is None:
+        return None
+    seconds = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            seconds = float(value)
+    if not 0.0 <= seconds < math.inf:
+        raise ServiceError(
+            "bad timeout_seconds: expected null or a finite number >= 0"
+        )
+    return seconds
 
 
 def result_payload(
@@ -473,7 +493,10 @@ class QuestService:
         pool = self.resources.worker_pool
         recycles_before = pool.recycles if pool is not None else 0
         try:
-            with block_deadline(remaining):
+            # Job threads inherit no context, so the daemon registry is
+            # installed here: run_quest merges the run's counters into
+            # it on exit, failed runs included.
+            with block_deadline(remaining), use_metrics(self.metrics):
                 result = run_quest(
                     circuit,
                     config,
@@ -505,7 +528,6 @@ class QuestService:
             self.breaker.record_failure()
         else:
             self.breaker.record_success()
-        self.metrics.merge(result.metrics)
         self._finish(record, result=result_payload(result, config))
 
     def _run_degraded(self, record: JobRecord, circuit, config) -> None:
@@ -677,14 +699,11 @@ class QuestService:
         record = self._jobs.get(job_id)
         if record is None:
             raise ServiceError(f"unknown job {job_id!r}")
-        timeout = message.get("timeout_seconds")
+        timeout = _wait_timeout(message.get("timeout_seconds"))
         if record.state not in TERMINAL_STATES:
             event = self._job_events.setdefault(job_id, asyncio.Event())
             try:
-                await asyncio.wait_for(
-                    event.wait(),
-                    None if timeout is None else float(timeout),
-                )
+                await asyncio.wait_for(event.wait(), timeout)
             except asyncio.TimeoutError:
                 return {
                     "type": "result",

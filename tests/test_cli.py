@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
 from repro.algorithms import tfim
-from repro.cli import main
+from repro.cli import build_serve_parser, main
 
 
 def test_cli_end_to_end(tmp_path, capsys):
@@ -91,3 +93,38 @@ def test_cli_rejects_invalid_selection_numbers_before_synthesis(
             assert code == 2
             assert "must be" in capsys.readouterr().err
             assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "prefix", [[], ["compile-batch"]], ids=["compile", "compile-batch"]
+)
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--noise-engine", "ptm"],
+        ["--array-backend", "cupy"],
+        ["--retry-budget-multiplier", "2"],
+        ["--retry-backoff", "0.5"],
+    ],
+    ids=lambda flag: flag[0].lstrip("-"),
+)
+def test_removed_compile_flags_exit_2(tmp_path, capsys, prefix, flag):
+    path = tmp_path / "tfim.qasm"
+    path.write_text(circuit_to_qasm(tfim(3, steps=1)))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(prefix + [str(path), "--out-dir", str(out_dir)] + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_removed_serve_flag_exits_2(tmp_path, capsys):
+    # Parse only: a parser that accepted the flag would start a daemon.
+    with pytest.raises(SystemExit) as excinfo:
+        build_serve_parser().parse_args([
+            "--socket", str(tmp_path / "q.sock"),
+            "--ledger-dir", str(tmp_path / "ledger"), "--retry-backoff", "1",
+        ])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -219,3 +219,40 @@ def test_roundtrip_preserves_semantics(rng):
     circuit = random_circuit(3, 6, rng=rng)
     parsed = circuit_from_qasm(circuit_to_qasm(circuit))
     assert np.allclose(parsed.unitary(), circuit.unitary())
+
+
+@pytest.mark.parametrize(
+    "text, statement",
+    [
+        # Operands must name the declared qreg, whatever it is called.
+        ("qreg r[2]; h q[1];", "h q[1]"),
+        ("qreg r[2]; cx r[0],q[1];", "cx r[0],q[1]"),
+        ("qreg q[2]; creg c[2]; measure r[0] -> c[0];", "measure r[0] -> c[0]"),
+        ("qreg q[2]; barrier r[0];", "barrier r[0]"),
+        # Every operand must be in range, barrier operands included.
+        ("qreg q[2]; h q[2];", "h q[2]"),
+        ("qreg q[2]; creg c[2]; measure q[5] -> c[0];", "measure q[5] -> c[0]"),
+        ("qreg q[2]; barrier q[7];", "barrier q[7]"),
+        ("qreg q[2]; barrier q[0],q[9];", "barrier q[0],q[9]"),
+        ("qreg q[2]; barrier;", "barrier"),
+    ],
+)
+def test_parse_rejects_operands_outside_the_qreg(text, statement):
+    with pytest.raises(QasmError, match=re.escape(repr(statement))):
+        circuit_from_qasm(text)
+
+
+def test_any_register_name_parses_and_partial_barriers_widen():
+    parsed = circuit_from_qasm(
+        "qreg r[3]; creg c[3]; h r[0]; cx r[0],r[2]; barrier r[1];"
+        " barrier r; measure r[2] -> c[1];"
+    )
+    assert [(op.name, op.qubits) for op in parsed] == [
+        ("h", (0,)),
+        ("cx", (0, 2)),
+        # The IR has only full barriers: a partial one spans every qubit.
+        ("barrier", ()),
+        ("barrier", ()),
+        ("measure", (2,)),
+    ]
+    assert parsed.num_qubits == 3

@@ -70,7 +70,7 @@ def test_attempt_zero_uses_the_block_seed():
 
 
 def test_first_retry_reuses_the_seed_then_escalates():
-    policy = RetryPolicy(max_attempts=4, same_seed_retries=1)
+    policy = RetryPolicy(max_attempts=4)
     assert policy.attempt_seed(12345, 1) == 12345
     escalated = policy.attempt_seed(12345, 2)
     assert escalated != 12345
@@ -85,31 +85,16 @@ def test_first_retry_reuses_the_seed_then_escalates():
     assert escalated == expected
 
 
-def test_budget_multiplier_scales_geometrically():
-    policy = RetryPolicy(max_attempts=3, budget_multiplier=2.0)
-    assert policy.attempt_budget(10.0, 0) == 10.0
-    assert policy.attempt_budget(10.0, 1) == 20.0
-    assert policy.attempt_budget(10.0, 2) == 40.0
-    assert policy.attempt_budget(None, 2) is None
-
-
 def test_baseline_attempt_detection():
-    flat = RetryPolicy(max_attempts=3, budget_multiplier=1.0)
-    assert flat.is_baseline_attempt(7, 0, 10.0)
-    assert flat.is_baseline_attempt(7, 1, 10.0)  # same seed, flat budget
-    assert not flat.is_baseline_attempt(7, 2, 10.0)  # escalated seed
-    scaled = RetryPolicy(max_attempts=3, budget_multiplier=2.0)
-    assert scaled.is_baseline_attempt(7, 0, 10.0)
-    assert not scaled.is_baseline_attempt(7, 1, 10.0)  # budget grew
+    policy = RetryPolicy(max_attempts=3)
+    assert policy.is_baseline_attempt(7, 0)
+    assert policy.is_baseline_attempt(7, 1)  # same seed
+    assert not policy.is_baseline_attempt(7, 2)  # escalated seed
 
 
 def test_policy_validation():
     with pytest.raises(ValueError, match="max_attempts"):
         RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="budget_multiplier"):
-        RetryPolicy(budget_multiplier=0.0)
-    with pytest.raises(ValueError, match="same_seed_retries"):
-        RetryPolicy(same_seed_retries=-1)
 
 
 def test_failure_record_round_trips_to_dict():
@@ -206,122 +191,8 @@ def test_exhausted_retries_still_fall_back():
         assert "degraded to exact block" in record.message
 
 
-# ----------------------------------------------------------------------
-# Full-jitter exponential backoff
-# ----------------------------------------------------------------------
-class _RecordingRng:
-    """Jitter RNG stand-in: real draws, but the ceilings are recorded."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self.ceilings: list[float] = []
-
-    def uniform(self, low: float, high: float) -> float:
-        assert low == 0.0
-        self.ceilings.append(high)
-        return self._rng.uniform(low, high)
-
-
-def test_backoff_disabled_by_default():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.backoff_seconds(1) == 0.0
-    assert policy.backoff_seconds(5) == 0.0
-
-
-def test_backoff_zero_before_the_first_retry():
-    policy = RetryPolicy(max_attempts=3, backoff_base=1.0)
-    assert policy.backoff_seconds(0) == 0.0
-
-
-def test_backoff_validation():
-    with pytest.raises(ValueError, match="backoff_base"):
-        RetryPolicy(backoff_base=-0.5)
-    with pytest.raises(ValueError, match="backoff_cap"):
-        RetryPolicy(backoff_cap=0.0)
-
-
-def test_backoff_full_jitter_is_bounded_by_the_capped_exponential():
-    policy = RetryPolicy(max_attempts=8, backoff_base=0.5, backoff_cap=4.0)
-    rng = np.random.default_rng(0)
-    for attempt in range(1, 8):
-        ceiling = min(4.0, 0.5 * 2.0 ** (attempt - 1))
-        for _ in range(25):
-            delay = policy.backoff_seconds(attempt, rng)
-            assert 0.0 <= delay <= ceiling
-
-
-def test_backoff_deterministic_under_a_pinned_rng():
-    policy = RetryPolicy(max_attempts=3, backoff_base=0.5)
-    first = policy.backoff_seconds(2, np.random.default_rng(7))
-    second = policy.backoff_seconds(2, np.random.default_rng(7))
-    assert first == second
-
-
-def test_executor_backoff_schedule_under_fake_clock():
-    """The executor sleeps exactly the policy's full-jitter schedule.
-
-    A fake ``sleep_fn`` records every delay instead of sleeping and an
-    injected jitter RNG makes the draws replayable: the observed sleep
-    list must match a fresh replay of the same RNG stream against the
-    recorded ceilings, and the ceilings must follow the capped
-    exponential ``min(cap, base * 2**(attempt-1))``.
-    """
-    blocks = _blocks()
-    seeds = _seeds(blocks)
-    # Fault on attempts 0 and 1: every faulted block retries at
-    # attempts 1 and 2, so both backoff tiers are exercised.
-    specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(2))
-    sleeps: list[float] = []
-    recorder = _RecordingRng(123)
-    runner = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(
-            max_attempts=3, backoff_base=0.25, backoff_cap=1.0
-        ),
-        fault_injector=FaultInjector(specs=specs),
-        sleep_fn=sleeps.append,
-        backoff_rng=recorder,
-    )
-    _, _, counters = _run_counted(runner, blocks, seeds)
-    assert counters["retry.attempts"] > 0
-    assert sleeps, "no backoff sleeps were recorded"
-    # Every recorded ceiling is one of the capped exponential tiers, and
-    # both tiers fired (attempt 1 -> 0.25, attempt 2 -> 0.5).
-    assert set(recorder.ceilings) == {0.25, 0.5}
-    # The delays are the pinned RNG's stream, verbatim.
-    replay = np.random.default_rng(123)
-    expected = [replay.uniform(0.0, c) for c in recorder.ceilings]
-    assert sleeps == expected
-    # Nothing ever waited for real: the fake clock absorbed it all.
-    assert all(0.0 < s <= 0.5 for s in sleeps)
-
-
-def test_backoff_never_perturbs_results():
-    """Backoff on vs. off: identical pools (jitter RNG is separate)."""
-    blocks = _blocks()
-    seeds = _seeds(blocks)
-    specs = (FaultSpec("raise", None, 0),)
-    plain_pools, _ = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=2),
-        fault_injector=FaultInjector(specs=specs),
-    ).run(blocks, CONFIG, seeds)
-    sleeps: list[float] = []
-    backoff_pools, _, counters = _run_counted(
-        BlockSynthesisExecutor(
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.5),
-            fault_injector=FaultInjector(specs=specs),
-            sleep_fn=sleeps.append,
-            backoff_rng=np.random.default_rng(99),
-        ),
-        blocks,
-        seeds,
-    )
-    assert counters["retry.attempts"] > 0
-    assert sleeps
-    _pools_equal(plain_pools, backoff_pools)
-
-
 def test_escalated_seed_changes_the_synthesis_stream():
-    """Attempts past same_seed_retries genuinely explore a new seed."""
+    """Attempts past SAME_SEED_RETRIES genuinely explore a new seed."""
     blocks = _blocks()
     seeds = _seeds(blocks)
     clean_pools, _ = BlockSynthesisExecutor().run(blocks, CONFIG, seeds)

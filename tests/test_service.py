@@ -214,6 +214,10 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             ),
             lambda: client.submit(qasm, config={"max_samples": 1.5}),
             lambda: client.submit(qasm, config={"annealing_maxiter": "40"}),
+            # Settings that no longer exist are unknown fields too.
+            lambda: client.submit(qasm, config={"array_backend": "cupy"}),
+            lambda: client.submit(qasm, config={"noise_engine": "ptm"}),
+            lambda: client.submit(qasm, config={"retry_backoff_seconds": 1.0}),
         ):
             with pytest.raises(AdmissionRejected) as excinfo:
                 bad_submit()
@@ -226,6 +230,8 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
             "OPENQASM 2.0;\nqreg q[1];\nrz(1e309) q[0];",
             "OPENQASM 2.0;\nqreg q[1];\nrz(2.0**2000) q[0];",
             "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nqreg r[3];\nh q[2];",
+            "OPENQASM 2.0;\nqreg r[2];\nh q[1];\ncx r[0],r[1];",
+            "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\nbarrier q[7];",
         ):
             job_id = client.submit(bad_qasm)
             reply = client.wait(job_id, timeout=60.0)
@@ -237,6 +243,26 @@ def test_wait_for_unknown_job_is_an_error(tmp_path):
     with running_service(tmp_path / "ledger") as (service, client):
         with pytest.raises(ServiceError, match="unknown job"):
             client.wait("job999999", timeout=1.0)
+
+
+def test_wait_rejects_a_bad_timeout(tmp_path):
+    """A bad timeout gets an error reply: a string must not drop the
+    connection, and NaN must not wait for the job however long it takes."""
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(tmp_path / "ledger") as (service, client):
+        job_id = client.submit(qasm)
+        for bad in (
+            "abc", "5", float("nan"), float("inf"), -1.0, True, [1], 10**400
+        ):
+            with pytest.raises(ServiceError, match="bad timeout_seconds"):
+                client._request(
+                    {"type": "wait", "job_id": job_id, "timeout_seconds": bad},
+                    30.0,
+                )
+        # The daemon is unharmed and still answers well-formed waits.
+        assert client.wait(job_id, timeout=300.0)["state"] == "done"
+        assert client.wait(job_id, timeout=0)["state"] == "done"
+        assert client.wait(job_id)["state"] == "done"
 
 
 # ----------------------------------------------------------------------
@@ -384,3 +410,34 @@ def test_status_reports_health_and_accounting(tmp_path):
         histograms = status["metrics"]["histograms"]
         assert "service.latency_seconds.alice" in histograms
         _assert_no_stranded(client)
+
+
+def test_job_metrics_are_counted_once_failures_included(
+    tmp_path, monkeypatch, solo_reference
+):
+    """A job that raises out of run_quest keeps the counters it recorded,
+    and a successful job's counters land in the daemon registry once."""
+    from repro.core import quest
+    from repro.exceptions import SelectionError
+
+    def broken_selection(*args, **kwargs):
+        raise SelectionError("selection broke")
+
+    with running_service(tmp_path / "ledger") as (service, client):
+        with monkeypatch.context() as patch:
+            patch.setattr(quest, "select_approximations", broken_selection)
+            job_id = client.submit(circuit_to_qasm(tfim(4, steps=2)))
+            reply = client.wait(job_id, timeout=300.0)
+        assert reply["state"] == "failed"
+        assert reply["error"]["kind"] == "SelectionError"
+        counters = client.status()["metrics"]["counters"]
+        assert counters["cache.miss"] == solo_reference["tfim"].cache_misses
+
+        payload = client.submit_and_wait(
+            circuit_to_qasm(qft(4)), timeout=300.0
+        )
+        after = client.status()["metrics"]["counters"]
+        assert payload["cache_misses"] > 0
+        for name, key in (("cache.miss", "cache_misses"),
+                          ("cache.hit", "cache_hits")):
+            assert after.get(name, 0) - counters.get(name, 0) == payload[key]

@@ -300,8 +300,16 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
     with pytest.raises(ServiceError, match="unknown QuestConfig field"):
         merge_config(base, {"no_such_knob": 1})
     # A removed knob is just another unknown field.
-    with pytest.raises(ServiceError, match="unknown QuestConfig field"):
-        merge_config(base, {"shm_transport": True})
+    for removed in (
+        {"shm_transport": True},
+        {"array_backend": "numpy"},
+        {"noise_engine": "ptm"},
+        {"retry_budget_multiplier": 2.0},
+        {"retry_backoff_seconds": 0.5},
+        {"certify_max_exact_qubits": 4},
+    ):
+        with pytest.raises(ServiceError, match="unknown QuestConfig field"):
+            merge_config(base, removed)
     with pytest.raises(ServiceError, match="substrate-owned"):
         merge_config(base, {"workers": 8})
     with pytest.raises(ServiceError, match="substrate-owned"):
@@ -370,5 +378,13 @@ def test_encode_decode_message_round_trip_and_garbage():
     assert decode_message(frame) == {"type": "status", "n": 1}
     with pytest.raises(ServiceError, match="undecodable"):
         decode_message(b"not json\n")
+    # Python refuses to parse an int this long or nesting this deep; the
+    # reply must still be an error message, not a dropped connection.
+    for frame in (
+        b'{"type": "wait", "timeout_seconds": ' + b"9" * 5000 + b"}\n",
+        b'{"type": "status", "x": ' + b"[" * 100000 + b"]" * 100000 + b"}\n",
+    ):
+        with pytest.raises(ServiceError, match="undecodable"):
+            decode_message(frame)
     with pytest.raises(ServiceError, match="'type'"):
         decode_message(b'{"no": "type"}\n')
